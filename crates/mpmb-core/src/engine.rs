@@ -9,7 +9,7 @@
 //! * [`TrialEngine`] is the per-method plug-in: how to run trial `t`
 //!   into an accumulator, and how to merge two accumulators.
 //! * [`Executor`] owns the loop: sequential or chunked-parallel
-//!   (via [`chunk_ranges`](crate::parallel::chunk_ranges)), observer
+//!   (via [`chunk_ranges`]), observer
 //!   hooks (forkable observers are aggregated deterministically across
 //!   chunks; others see only sequential runs), and a cooperative
 //!   [`Cancel`] check every [`CHECK_EVERY`] trials.
@@ -30,7 +30,6 @@
 //! trials yields the same bytes as one sequential pass.
 
 use crate::observer::{NoopObserver, TrialObserver};
-use crate::parallel::chunk_ranges;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
@@ -41,6 +40,24 @@ use std::time::Instant;
 /// (Karp-Luby, where one "trial" is a whole candidate) should lower it
 /// with [`Executor::check_every`].
 pub const CHECK_EVERY: u64 = 64;
+
+/// Splits `total` trials into at most `threads` contiguous, non-empty
+/// ranges covering `0..total` in order.
+///
+/// This is the canonical trial partition for every deterministic parallel
+/// runner in the workspace: merging per-range results *in range order*
+/// reproduces the sequential trial order exactly, so any two callers that
+/// split with this function and merge in order produce bit-identical
+/// output. The [`Executor`] is built on it; external drivers should go
+/// through the executor rather than reimplementing the split.
+pub fn chunk_ranges(total: u64, threads: usize) -> Vec<Range<u64>> {
+    let threads = threads.max(1) as u64;
+    let per = total.div_ceil(threads);
+    (0..threads)
+        .map(|i| (i * per).min(total)..((i + 1) * per).min(total))
+        .filter(|r| !r.is_empty())
+        .collect()
+}
 
 /// A cooperative cancellation handle shared by every worker of a run:
 /// an optional wall-clock deadline, an optional trial budget, and a
@@ -322,8 +339,7 @@ impl std::error::Error for AbsorbError {}
 /// The one trial loop in the workspace: sequential or chunked-parallel
 /// execution of a [`TrialEngine`], with cancellation and resume.
 ///
-/// Parallel runs split the trial range with
-/// [`chunk_ranges`](crate::parallel::chunk_ranges) — the canonical
+/// Parallel runs split the trial range with [`chunk_ranges`] — the canonical
 /// contiguous partition — and merge per-range accumulators in range
 /// order, reproducing the sequential fold exactly.
 #[derive(Clone, Copy, Debug)]
@@ -401,39 +417,8 @@ impl Executor {
         cancel: &Cancel,
         observer: &mut dyn TrialObserver,
     ) {
-        // Observability preamble: when nothing observes, `span` is
-        // inert and `started` stays `None`, so the cost is one
-        // thread-local flag check plus one atomic load.
-        let resumed = partial.trials_done() > 0;
-        let before_done = partial.trials_done();
-        let before_checks = cancel.checks();
-        let mut span = obs::span(engine.phase());
-        let started = span.is_active().then(Instant::now);
-
-        for gap in partial.missing() {
-            if cancel.expired() {
-                break;
-            }
-            for (acc, done) in self.run_range(engine, gap, cancel, observer) {
-                engine.merge(&mut partial.acc, acc);
-                partial.mark_done(done);
-            }
-        }
-
-        if let Some(t0) = started {
-            let executed = partial.trials_done() - before_done;
-            span.items(executed);
-            span.field("threads", self.threads);
-            span.field("resumed", resumed);
-            span.field("cancelled", cancel.is_raised());
-            span.field("completed", partial.completed());
-            let secs = t0.elapsed().as_secs_f64();
-            let checks = cancel.checks() - before_checks;
-            obs::with_solver(|sm| {
-                sm.record_phase(engine.phase(), secs, executed);
-                sm.record_run(resumed, cancel.is_raised(), checks);
-            });
-        }
+        let gaps = partial.missing();
+        self.run_gaps(engine, partial, gaps, cancel, observer);
     }
 
     /// Runs only `range` of the trial space `0..total` — the worker
@@ -458,14 +443,55 @@ impl Executor {
             "subrange {range:?} escapes trial space 0..{total}"
         );
         let mut partial = Partial::empty(engine.new_acc(), total);
-        if cancel.expired() {
-            return partial;
-        }
-        for (acc, done) in self.run_range(engine, range, cancel, &mut NoopObserver) {
-            engine.merge(&mut partial.acc, acc);
-            partial.mark_done(done);
-        }
+        self.run_gaps(engine, &mut partial, vec![range], cancel, &mut NoopObserver);
         partial
+    }
+
+    /// The gap loop behind [`Executor::resume`] and
+    /// [`Executor::run_subrange`]: runs `gaps` of `partial`'s trial space
+    /// in order until `cancel` fires, folding each into `partial`, under
+    /// the engine's phase span and solver metrics.
+    fn run_gaps<E: TrialEngine>(
+        &self,
+        engine: &E,
+        partial: &mut Partial<E::Acc>,
+        gaps: Vec<Range<u64>>,
+        cancel: &Cancel,
+        observer: &mut dyn TrialObserver,
+    ) {
+        // Observability preamble: when nothing observes, `span` is
+        // inert and `started` stays `None`, so the cost is one
+        // thread-local flag check plus one atomic load.
+        let resumed = partial.trials_done() > 0;
+        let before_done = partial.trials_done();
+        let before_checks = cancel.checks();
+        let mut span = obs::span(engine.phase());
+        let started = span.is_active().then(Instant::now);
+
+        for gap in gaps {
+            if cancel.expired() {
+                break;
+            }
+            for (acc, done) in self.run_range(engine, gap, cancel, observer) {
+                engine.merge(&mut partial.acc, acc);
+                partial.mark_done(done);
+            }
+        }
+
+        if let Some(t0) = started {
+            let executed = partial.trials_done() - before_done;
+            span.items(executed);
+            span.field("threads", self.threads);
+            span.field("resumed", resumed);
+            span.field("cancelled", cancel.is_raised());
+            span.field("completed", partial.completed());
+            let secs = t0.elapsed().as_secs_f64();
+            let checks = cancel.checks() - before_checks;
+            obs::with_solver(|sm| {
+                sm.record_phase(engine.phase(), secs, executed);
+                sm.record_run(resumed, cancel.is_raised(), checks);
+            });
+        }
     }
 
     /// Executes one contiguous trial range, split across the executor's
@@ -604,6 +630,21 @@ mod tests {
 
     fn full_sum(n: u64) -> u64 {
         n * (n + 1) / 2
+    }
+
+    #[test]
+    fn chunk_ranges_cover_exactly() {
+        for (total, threads) in [(10u64, 3usize), (1, 8), (100, 1), (7, 7), (0, 4)] {
+            let ranges = chunk_ranges(total, threads);
+            let mut covered = 0u64;
+            let mut expect_start = 0u64;
+            for r in &ranges {
+                assert_eq!(r.start, expect_start);
+                covered += r.end - r.start;
+                expect_start = r.end;
+            }
+            assert_eq!(covered, total, "total={total} threads={threads}");
+        }
     }
 
     #[test]

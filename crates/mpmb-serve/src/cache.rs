@@ -12,7 +12,7 @@
 //! * [`CacheEntry::Complete`] — a rendered response body, replayed
 //!   verbatim on a hit;
 //! * [`CacheEntry::Partial`] — the resumable
-//!   [`PartialState`](crate::solve::PartialState) of a request that hit
+//!   [`PartialState`](crate::job::PartialState) of a request that hit
 //!   its deadline. A repeat of the same request *resumes* from it with
 //!   a fresh deadline instead of restarting at trial zero, so each 503
 //!   carries more trials than the last and the answer eventually
@@ -22,7 +22,7 @@
 //! small JSON documents and partials are bounded by the distribution
 //! support, so byte accounting isn't worth the bookkeeping.
 
-use crate::solve::PartialState;
+use crate::job::PartialState;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Mutex;
 

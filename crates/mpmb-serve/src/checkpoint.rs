@@ -15,11 +15,8 @@
 //! entry whose graph can no longer be loaded just drops that graph and
 //! its partials.
 
-use crate::solve::PartialState;
+use crate::job::PartialState;
 use bigraph::codec::{open_frame, seal_frame, CodecError, Decoder, Encoder};
-use bigraph::fx::FxHashMap;
-use mpmb_core::engine::Partial;
-use mpmb_core::{Butterfly, CandidateSet, Checkpoint, KlCandidate, Tally};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -71,90 +68,6 @@ pub struct Snapshot {
     pub partials: Vec<(String, PartialState)>,
 }
 
-/// Tags for [`PartialState`] variants in the snapshot payload.
-const TAG_OS: u8 = 0;
-const TAG_MCVP: u8 = 1;
-const TAG_OLS_PREPARE: u8 = 2;
-const TAG_OLS_SAMPLE: u8 = 3;
-const TAG_KL: u8 = 4;
-const TAG_QUERY: u8 = 5;
-const TAG_COUNT: u8 = 6;
-const TAG_FAST: u8 = 7;
-
-/// Encodes one solver state behind its tag byte. `pub(crate)`: the
-/// cluster wire protocol ([`crate::cluster::proto`]) frames the same
-/// encoding, so a worker's range response and a checkpointed partial
-/// stay one format.
-pub(crate) fn encode_state(state: &PartialState, enc: &mut Encoder) {
-    match state {
-        PartialState::Os(p) => {
-            enc.u8(TAG_OS);
-            p.encode(enc);
-        }
-        PartialState::McVp(p) => {
-            enc.u8(TAG_MCVP);
-            p.encode(enc);
-        }
-        PartialState::OlsPrepare(p) => {
-            enc.u8(TAG_OLS_PREPARE);
-            p.encode(enc);
-        }
-        PartialState::OlsSample {
-            candidates,
-            partial,
-        } => {
-            enc.u8(TAG_OLS_SAMPLE);
-            candidates.encode(enc);
-            partial.encode(enc);
-        }
-        PartialState::Kl {
-            candidates,
-            partial,
-        } => {
-            enc.u8(TAG_KL);
-            candidates.encode(enc);
-            partial.encode(enc);
-        }
-        PartialState::Query(p) => {
-            enc.u8(TAG_QUERY);
-            p.encode(enc);
-        }
-        PartialState::Count(p) => {
-            enc.u8(TAG_COUNT);
-            p.encode(enc);
-        }
-        PartialState::Fast(p) => {
-            enc.u8(TAG_FAST);
-            p.encode(enc);
-        }
-    }
-}
-
-/// Decodes one tagged solver state (inverse of [`encode_state`]).
-pub(crate) fn decode_state(dec: &mut Decoder<'_>) -> Result<PartialState, CodecError> {
-    Ok(match dec.u8()? {
-        TAG_OS => PartialState::Os(Partial::<Tally>::decode(dec)?),
-        TAG_MCVP => PartialState::McVp(Partial::<Tally>::decode(dec)?),
-        TAG_OLS_PREPARE => PartialState::OlsPrepare(Partial::<Vec<Butterfly>>::decode(dec)?),
-        TAG_OLS_SAMPLE => PartialState::OlsSample {
-            candidates: CandidateSet::decode(dec)?,
-            partial: Partial::<Tally>::decode(dec)?,
-        },
-        TAG_KL => PartialState::Kl {
-            candidates: CandidateSet::decode(dec)?,
-            partial: Partial::<Vec<(u32, KlCandidate)>>::decode(dec)?,
-        },
-        TAG_QUERY => PartialState::Query(Partial::<u64>::decode(dec)?),
-        TAG_COUNT => PartialState::Count(Partial::<FxHashMap<u64, u64>>::decode(dec)?),
-        TAG_FAST => PartialState::Fast(Partial::<Vec<mpmb_core::FastSample>>::decode(dec)?),
-        other => {
-            return Err(CodecError::Invalid(format!(
-                "unknown partial-state tag {other}"
-            )))
-        }
-    })
-}
-
 impl Snapshot {
     /// Serializes into a sealed frame ready to hit disk.
     pub fn to_bytes(&self) -> Vec<u8> {
@@ -174,7 +87,7 @@ impl Snapshot {
         enc.u64(self.partials.len() as u64);
         for (key, state) in &self.partials {
             enc.str(key);
-            encode_state(state, &mut enc);
+            state.encode(&mut enc);
         }
         seal_frame(MAGIC, VERSION, &enc.into_bytes())
     }
@@ -213,7 +126,7 @@ impl Snapshot {
         let mut partials = Vec::with_capacity(partial_count);
         for _ in 0..partial_count {
             let key = dec.str()?;
-            let state = decode_state(&mut dec)?;
+            let state = PartialState::decode(&mut dec)?;
             partials.push((key, state));
         }
         if dec.remaining() != 0 {
@@ -297,7 +210,7 @@ pub fn load_file(path: &Path) -> LoadOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solve::{advance_solve, Cancel, Outcome};
+    use crate::job::{Backend, Cancel, Endpoint, Job, Method, Outcome};
     use bigraph::{GraphBuilder, Left, Right, UncertainBipartiteGraph};
 
     fn fig1() -> UncertainBipartiteGraph {
@@ -312,112 +225,28 @@ mod tests {
     }
 
     /// Runs `method` under a trial budget until it yields a partial.
-    fn make_partial(method: &str, trials: u64, prep: u64, budget: u64) -> PartialState {
-        let g = fig1();
-        let progress = advance_solve(
-            &g,
-            method,
-            trials,
+    fn make_partial(method: Method, trials: u64, prep: u64, budget: u64) -> PartialState {
+        let job = Job {
             prep,
-            31,
-            1,
-            None,
-            &Cancel::after_trials(budget),
-        )
-        .unwrap();
-        match progress.outcome {
-            Outcome::Incomplete(s) => s,
-            Outcome::Done(_) => panic!("budget {budget} should have interrupted {method}"),
-        }
-    }
-
-    /// Every [`PartialState`] variant round-trips through a snapshot and
-    /// then *completes* to the same result as the uninterrupted run.
-    #[test]
-    fn every_variant_round_trips_and_resumes_identically() {
-        let g = fig1();
-        let cases: [(&str, u64, u64, u64); 4] = [
-            ("os", 2_000, 1, 300),
-            ("mcvp", 1_000, 1, 170),
-            ("ols", 5_000, 200, 450),  // mid-sampling
-            ("ols-kl", 300, 200, 202), // past prep, mid-KL (fig1 has 3 candidates)
-        ];
-        for (method, trials, prep, budget) in cases {
-            let state = make_partial(method, trials, prep, budget);
-            let snap = Snapshot {
-                graphs: vec![ManifestEntry::memory("g", "dataset:abide:0.01:3")],
-                partials: vec![(format!("solve|g|{method}"), state)],
-            };
-            let back = Snapshot::from_bytes(&snap.to_bytes()).unwrap();
-            assert_eq!(back.graphs, snap.graphs);
-            assert_eq!(back.partials.len(), 1);
-            assert_eq!(back.partials[0].0, format!("solve|g|{method}"));
-
-            let restored = back.partials.into_iter().next().unwrap().1;
-            assert_eq!(restored.kind(), snap.partials[0].1.kind());
-            let full =
-                advance_solve(&g, method, trials, prep, 31, 1, None, &Cancel::never()).unwrap();
-            let resumed = advance_solve(
-                &g,
-                method,
-                trials,
-                prep,
-                31,
-                2,
-                Some(restored),
-                &Cancel::never(),
+            ..Job::new(Endpoint::Solve, method, trials, 31)
+        };
+        let progress = job
+            .advance(
+                &fig1(),
+                &Backend::Local,
+                None,
+                &Cancel::after_trials(budget),
             )
             .unwrap();
-            let (full_d, resumed_d) = match (full.outcome, resumed.outcome) {
-                (Outcome::Done(a), Outcome::Done(b)) => (a, b),
-                _ => panic!("{method}: both runs must complete"),
-            };
-            assert_eq!(
-                full_d.max_abs_diff(&resumed_d),
-                0.0,
-                "{method}: restored partial must complete bit-identically"
-            );
-        }
-    }
-
-    /// The fast tier's checkpoint variant round-trips and the restored
-    /// partial completes bit-identically to the uninterrupted estimate.
-    #[test]
-    fn fast_partial_round_trips_and_resumes_identically() {
-        use crate::solve::advance_fast;
-        let g = fig1();
-        let progress =
-            advance_fast(&g, 2_000, 31, 0.1, 1, None, &Cancel::after_trials(300)).unwrap();
-        let state = match progress.outcome {
+        match progress.outcome {
             Outcome::Incomplete(s) => s,
-            Outcome::Done(_) => panic!("budget should have interrupted the fast run"),
-        };
-        assert_eq!(state.kind(), "fast");
-        let snap = Snapshot {
-            graphs: vec![],
-            partials: vec![("fast|g|2000|31|0.1".to_string(), state)],
-        };
-        let back = Snapshot::from_bytes(&snap.to_bytes()).unwrap();
-        let restored = back.partials.into_iter().next().unwrap().1;
-        assert_eq!(restored.kind(), "fast");
-
-        let full = advance_fast(&g, 2_000, 31, 0.1, 1, None, &Cancel::never()).unwrap();
-        let resumed =
-            advance_fast(&g, 2_000, 31, 0.1, 2, Some(restored), &Cancel::never()).unwrap();
-        match (full.outcome, resumed.outcome) {
-            (Outcome::Done(a), Outcome::Done(b)) => {
-                assert_eq!(a.estimate.to_bits(), b.estimate.to_bits());
-                assert_eq!(a.variance.to_bits(), b.variance.to_bits());
-                assert_eq!(a.ci_low.to_bits(), b.ci_low.to_bits());
-                assert_eq!(a.ci_high.to_bits(), b.ci_high.to_bits());
-            }
-            _ => panic!("both fast runs must complete"),
+            Outcome::Done(_) => panic!("budget {budget} should have interrupted {method:?}"),
         }
     }
 
     #[test]
     fn prepare_phase_partial_round_trips() {
-        let state = make_partial("ols", 5_000, 200, 64);
+        let state = make_partial(Method::Ols, 5_000, 200, 64);
         assert_eq!(state.kind(), "ols-prepare");
         let snap = Snapshot {
             graphs: vec![],
@@ -438,7 +267,7 @@ mod tests {
             graphs: vec![ManifestEntry::memory("g", "dataset:abide:0.01:3")],
             partials: vec![(
                 "count|g|100|7".to_string(),
-                make_partial("os", 2_000, 1, 64),
+                make_partial(Method::Os, 2_000, 1, 64),
             )],
         };
         store.write(&snap).unwrap();

@@ -1,22 +1,19 @@
 //! The coordinator half: deterministic scatter-gather over workers.
 //!
-//! `advance_cluster_solve` mirrors [`crate::solve::advance_solve`]
-//! phase for phase, with one difference: wherever the single-node
-//! driver hands a trial space to the in-process
-//! [`mpmb_core::Executor`], the coordinator splits the *missing*
-//! ranges of the master partial with the canonical
-//! [`mpmb_core::chunk_ranges`] partition, posts each range to a
-//! worker, and absorbs the returned partials. Preparing (`ols`,
-//! `ols-kl` phase 1) runs locally on the coordinator — it is cheap,
-//! and shipping its [`CandidateSet`] output with every range request
-//! means workers never re-run it.
+//! [`scatter`] is the cluster range backend of
+//! [`crate::job::Job::advance`]: wherever a single node hands a trial
+//! space to the in-process [`mpmb_core::Executor`], the coordinator
+//! splits the *missing* ranges of the master partial with the canonical
+//! [`mpmb_core::chunk_ranges`] partition, posts each range to a worker,
+//! and absorbs the returned partials. Every other stage of a job —
+//! OLS preparing, finalization, cache keys and bodies — is the same
+//! code as on a single node.
 //!
 //! Determinism: a trial's result is a function of its index alone, and
 //! absorption is order-insensitive, so the master accumulator after
-//! gather is byte-identical to a local run's — the finalization step
-//! literally *is* the single-node code path, called with the fully
-//! covered master state. Worker count, range boundaries, retries, and
-//! re-dispatches can change scheduling only, never bytes.
+//! gather is byte-identical to a local run's. Worker count, range
+//! boundaries, retries, and re-dispatches can change scheduling only,
+//! never bytes.
 //!
 //! Failure: a range call that dies in transport (or returns bytes that
 //! fail the frame checksum) marks its worker down and leaves the range
@@ -27,257 +24,15 @@
 //! the result cache, so a retried request continues the gather instead
 //! of restarting it.
 
-use super::proto::RangeRequest;
-use super::{merge, proto, Cluster, ClusterError};
+use super::proto::{self, RangeRequest};
+use super::{Cluster, ClusterError};
 use crate::client::{self, ClientError, RetryPolicy};
-use crate::server::AppState;
-use crate::solve::{
-    self, Cancel, CountProgress, FastProgress, Outcome, PartialState, Progress, SolveProgress,
-};
-use bigraph::UncertainBipartiteGraph;
-use mpmb_core::engine::Partial;
-use mpmb_core::{
-    chunk_ranges, CandidateSet, Executor, KarpLubyTrials, OlsConfig, PrepareTrials, Tally,
-    TrialEngine,
-};
+use crate::job::{Cancel, Job, PartialState};
+use crate::metrics::Metrics;
+use mpmb_core::chunk_ranges;
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Everything a range request carries besides the range itself.
-struct ScatterSpec<'a> {
-    graph: &'a str,
-    method: &'a str,
-    trials: u64,
-    prep: u64,
-    seed: u64,
-    threads: u64,
-    candidates: Option<&'a CandidateSet>,
-}
-
-/// Starts or resumes a scattered solve. Mirrors
-/// [`solve::advance_solve`]'s contract: `prior` must come from the
-/// same request key, and the completed result is bit-identical to a
-/// single-node run.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn advance_cluster_solve(
-    state: &AppState,
-    cluster: &Cluster,
-    graph_name: &str,
-    g: &UncertainBipartiteGraph,
-    method: &str,
-    trials: u64,
-    prep: u64,
-    seed: u64,
-    threads: usize,
-    prior: Option<PartialState>,
-    cancel: &Cancel,
-) -> Result<SolveProgress, ClusterError> {
-    match method {
-        "os" | "mcvp" => {
-            let mut master = match (method, prior) {
-                ("os", None) => PartialState::Os(Partial::empty(Tally::new(), trials)),
-                ("mcvp", None) => PartialState::McVp(Partial::empty(Tally::new(), trials)),
-                ("os", Some(s @ PartialState::Os(_)))
-                | ("mcvp", Some(s @ PartialState::McVp(_))) => s,
-                (_, Some(other)) => return Err(mismatch(method, &other)),
-                _ => unreachable!(),
-            };
-            let spec = ScatterSpec {
-                graph: graph_name,
-                method,
-                trials,
-                prep,
-                seed,
-                threads: threads as u64,
-                candidates: None,
-            };
-            let executed = scatter(state, cluster, &spec, &mut master, cancel)?;
-            finish(g, method, trials, prep, seed, master, executed, 0)
-        }
-        "ols" | "ols-kl" => advance_cluster_ols(
-            state, cluster, graph_name, g, method, trials, prep, seed, threads, prior, cancel,
-        ),
-        other => Err(ClusterError::BadRequest(format!(
-            "unknown method `{other}` (expected os|mcvp|ols|ols-kl)"
-        ))),
-    }
-}
-
-/// The two-phase OLS pipeline: preparing runs locally (resumable,
-/// exactly like the single-node driver), estimation scatters.
-#[allow(clippy::too_many_arguments)]
-fn advance_cluster_ols(
-    state: &AppState,
-    cluster: &Cluster,
-    graph_name: &str,
-    g: &UncertainBipartiteGraph,
-    method: &str,
-    trials: u64,
-    prep: u64,
-    seed: u64,
-    threads: usize,
-    prior: Option<PartialState>,
-    cancel: &Cancel,
-) -> Result<SolveProgress, ClusterError> {
-    let cfg = OlsConfig {
-        prep_trials: prep,
-        seed,
-        ..Default::default()
-    };
-    let mut executed = 0u64;
-    let (candidates, mut master) = match prior {
-        None | Some(PartialState::OlsPrepare(_)) => {
-            let prep_engine = PrepareTrials::new(g, &cfg);
-            let mut p = match prior {
-                Some(PartialState::OlsPrepare(p)) => p,
-                _ => Partial::empty(prep_engine.new_acc(), prep),
-            };
-            let before = p.trials_done();
-            Executor::new(threads).resume(&prep_engine, &mut p, cancel);
-            executed += p.trials_done() - before;
-            if !p.completed() {
-                let trials_done = p.trials_done();
-                return Ok(Progress {
-                    outcome: Outcome::Incomplete(PartialState::OlsPrepare(p)),
-                    trials_done,
-                    trials_requested: prep + trials,
-                    executed,
-                });
-            }
-            let candidates = prep_engine.finalize(p.acc);
-            let master = if method == "ols" {
-                PartialState::OlsSample {
-                    candidates: candidates.clone(),
-                    partial: Partial::empty(Tally::new(), trials),
-                }
-            } else {
-                let n = candidates.len() as u64;
-                PartialState::Kl {
-                    candidates: candidates.clone(),
-                    partial: Partial::empty(Vec::new(), n),
-                }
-            };
-            (candidates, master)
-        }
-        Some(s @ PartialState::OlsSample { .. }) if method == "ols" => {
-            let PartialState::OlsSample { candidates, .. } = &s else {
-                unreachable!()
-            };
-            (candidates.clone(), s)
-        }
-        Some(s @ PartialState::Kl { .. }) if method == "ols-kl" => {
-            let PartialState::Kl { candidates, .. } = &s else {
-                unreachable!()
-            };
-            (candidates.clone(), s)
-        }
-        Some(other) => return Err(mismatch(method, &other)),
-    };
-    let spec = ScatterSpec {
-        graph: graph_name,
-        method,
-        trials,
-        prep,
-        seed,
-        threads: threads as u64,
-        candidates: Some(&candidates),
-    };
-    executed += scatter(state, cluster, &spec, &mut master, cancel)?;
-    finish(g, method, trials, prep, seed, master, executed, prep)
-}
-
-/// Starts or resumes a scattered `/v1/count` run.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn advance_cluster_count(
-    state: &AppState,
-    cluster: &Cluster,
-    graph_name: &str,
-    g: &UncertainBipartiteGraph,
-    trials: u64,
-    seed: u64,
-    threads: usize,
-    prior: Option<PartialState>,
-    cancel: &Cancel,
-) -> Result<CountProgress, ClusterError> {
-    let mut master = match prior {
-        None => PartialState::Count(Partial::empty(Default::default(), trials)),
-        Some(s @ PartialState::Count(_)) => s,
-        Some(other) => return Err(mismatch("count", &other)),
-    };
-    let spec = ScatterSpec {
-        graph: graph_name,
-        method: "count",
-        trials,
-        prep: 0,
-        seed,
-        threads: threads as u64,
-        candidates: None,
-    };
-    let executed = scatter(state, cluster, &spec, &mut master, cancel)?;
-    if merge::completed(&master) {
-        let mut progress = solve::advance_count(g, trials, seed, 1, Some(master), &Cancel::never())
-            .map_err(ClusterError::BadRequest)?;
-        progress.executed = executed;
-        Ok(progress)
-    } else {
-        let (done, requested) = merge::progress_of(&master);
-        Ok(Progress {
-            outcome: Outcome::Incomplete(master),
-            trials_done: done,
-            trials_requested: requested,
-            executed,
-        })
-    }
-}
-
-/// Starts or resumes a scattered fast-tier (sublinear) estimate.
-/// `delta` affects only finalization, so it never travels with the
-/// range requests — workers return raw per-trial rows.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn advance_cluster_fast(
-    state: &AppState,
-    cluster: &Cluster,
-    graph_name: &str,
-    g: &UncertainBipartiteGraph,
-    trials: u64,
-    seed: u64,
-    delta: f64,
-    threads: usize,
-    prior: Option<PartialState>,
-    cancel: &Cancel,
-) -> Result<FastProgress, ClusterError> {
-    let mut master = match prior {
-        None => PartialState::Fast(Partial::empty(Vec::new(), trials)),
-        Some(s @ PartialState::Fast(_)) => s,
-        Some(other) => return Err(mismatch("fast", &other)),
-    };
-    let spec = ScatterSpec {
-        graph: graph_name,
-        method: "fast",
-        trials,
-        prep: 0,
-        seed,
-        threads: threads as u64,
-        candidates: None,
-    };
-    let executed = scatter(state, cluster, &spec, &mut master, cancel)?;
-    if merge::completed(&master) {
-        let mut progress =
-            solve::advance_fast(g, trials, seed, delta, 1, Some(master), &Cancel::never())
-                .map_err(ClusterError::BadRequest)?;
-        progress.executed = executed;
-        Ok(progress)
-    } else {
-        let (done, requested) = merge::progress_of(&master);
-        Ok(Progress {
-            outcome: Outcome::Incomplete(master),
-            trials_done: done,
-            trials_requested: requested,
-            executed,
-        })
-    }
-}
 
 /// Broadcasts a graph-registration body to every *healthy* worker. A
 /// worker answering 409 already has the graph; that is success. Down
@@ -318,63 +73,6 @@ pub(crate) fn broadcast_register(cluster: &Cluster, body: &[u8]) -> Result<(), C
     Ok(())
 }
 
-fn mismatch(method: &str, state: &PartialState) -> ClusterError {
-    ClusterError::BadRequest(format!(
-        "cached partial state `{}` does not match method `{method}`",
-        state.kind()
-    ))
-}
-
-/// Completed masters finalize through the *single-node* driver (which
-/// executes zero trials on an already-covered partial and runs the
-/// same finalization code, keeping the response bytes identical);
-/// incomplete ones become a resumable [`Outcome::Incomplete`].
-/// `prep` is added to the phase-2-local trial accounting.
-#[allow(clippy::too_many_arguments)]
-fn finish(
-    g: &UncertainBipartiteGraph,
-    method: &str,
-    trials: u64,
-    prep: u64,
-    seed: u64,
-    master: PartialState,
-    executed: u64,
-    prep_base: u64,
-) -> Result<SolveProgress, ClusterError> {
-    if merge::completed(&master) {
-        let mut progress = solve::advance_solve(
-            g,
-            method,
-            trials,
-            prep,
-            seed,
-            1,
-            Some(master),
-            &Cancel::never(),
-        )
-        .map_err(ClusterError::BadRequest)?;
-        progress.executed = executed;
-        return Ok(progress);
-    }
-    let trials_done = prep_base + work_done(&master);
-    Ok(Progress {
-        outcome: Outcome::Incomplete(master),
-        trials_done,
-        trials_requested: prep_base + trials,
-        executed,
-    })
-}
-
-/// Executed-trial units of a state: actual Karp-Luby samples for `Kl`
-/// (whose executor "trials" are whole candidates), covered trial
-/// indices otherwise. Matches the single-node drivers' accounting.
-fn work_done(state: &PartialState) -> u64 {
-    match state {
-        PartialState::Kl { partial, .. } => KarpLubyTrials::consumed(&partial.acc),
-        other => merge::progress_of(other).0,
-    }
-}
-
 /// How one range call failed.
 enum CallFailure {
     /// No usable HTTP response (connect refused, reset, truncation) —
@@ -393,49 +91,58 @@ enum CallFailure {
 }
 
 /// Runs scatter rounds until the master is covered, the deadline
-/// fires, or no worker can make progress. Returns the executed-trial
-/// delta absorbed by this call.
-fn scatter(
-    state: &AppState,
+/// fires, or no worker can make progress. Every range request carries
+/// the full job, so each worker seeds its engine exactly as a single
+/// node would.
+pub(crate) fn scatter(
     cluster: &Cluster,
-    spec: &ScatterSpec<'_>,
+    metrics: &Metrics,
+    job: &Job,
     master: &mut PartialState,
     cancel: &Cancel,
-) -> Result<u64, ClusterError> {
-    let start_units = work_done(master);
+) -> Result<(), ClusterError> {
+    let template = RangeRequest {
+        graph: job.graph.clone(),
+        method: job.method.name().to_string(),
+        trials: job.trials,
+        prep: job.prep,
+        seed: job.seed,
+        threads: job.threads as u64,
+        start: 0,
+        end: 0,
+        candidates: master.candidates().cloned(),
+        trace: None,
+    };
+    let start_done = master.coverage().trials_done();
     let mut round = 0u64;
     loop {
-        if merge::completed(master) {
-            return Ok(work_done(master) - start_units);
+        if master.coverage().completed() {
+            return Ok(());
         }
         if cancel.expired() {
             // The caller caches the partial master; a retried request
             // resumes the gather from here.
-            return Ok(work_done(master) - start_units);
+            return Ok(());
         }
         let mut healthy = cluster.members.healthy();
         if healthy.is_empty() {
             // One synchronous probe round: workers that restarted
             // since they were marked down rejoin immediately.
-            if cluster.members.probe_all(&state.metrics) == 0 {
-                if work_done(master) > start_units {
-                    return Ok(work_done(master) - start_units);
+            if cluster.members.probe_all(metrics) == 0 {
+                if master.coverage().trials_done() > start_done {
+                    return Ok(());
                 }
                 return Err(ClusterError::NoWorkers);
             }
             healthy = cluster.members.healthy();
         }
 
-        let assignments = plan_assignments(&merge::missing_of(master), &healthy);
-        state
-            .metrics
+        let assignments = plan_assignments(&master.coverage().missing(), &healthy);
+        metrics
             .cluster_ranges_dispatched
             .add(assignments.len() as u64);
         if round > 0 {
-            state
-                .metrics
-                .cluster_redispatch
-                .add(assignments.len() as u64);
+            metrics.cluster_redispatch.add(assignments.len() as u64);
         }
         round += 1;
 
@@ -456,12 +163,16 @@ fn scatter(
                 .zip(&hops)
                 .map(|((w, range), hop)| {
                     let addr = cluster.members.addr(*w);
-                    let range = range.clone();
                     let retry = &cluster.retry;
-                    let trace = hop.as_ref().map(|sc| proto::TraceContext {
-                        trace_id: sc.trace_id.to_string(),
-                        parent_span: sc.span_id,
-                    });
+                    let request = RangeRequest {
+                        start: range.start,
+                        end: range.end,
+                        trace: hop.as_ref().map(|sc| proto::TraceContext {
+                            trace_id: sc.trace_id.to_string(),
+                            parent_span: sc.span_id,
+                        }),
+                        ..template.clone()
+                    };
                     let hop = hop.clone();
                     s.spawn(move || {
                         let _g = hop.map(|sc| {
@@ -473,11 +184,11 @@ fn scatter(
                             })
                         });
                         let mut sp = obs::span("cluster.range");
-                        sp.items(range.end - range.start);
+                        sp.items(request.end - request.start);
                         sp.field("worker", addr);
-                        sp.field("range_start", range.start);
-                        sp.field("range_end", range.end);
-                        call_worker(addr, retry, spec, range, trace)
+                        sp.field("range_start", request.start);
+                        sp.field("range_end", request.end);
+                        call_worker(addr, retry, &request)
                     })
                 })
                 .collect();
@@ -495,14 +206,14 @@ fn scatter(
             match result {
                 Ok(reply) => {
                     check_containment(&reply.state, range)?;
-                    let before = merge::progress_of(master).0;
-                    let covered = merge::progress_of(&reply.state).0;
-                    merge::absorb_state(master, reply.state)?;
-                    if merge::progress_of(master).0 > before {
+                    let before = master.coverage().trials_done();
+                    let covered = reply.state.coverage().trials_done();
+                    master.absorb(reply.state).map_err(ClusterError::Protocol)?;
+                    if master.coverage().trials_done() > before {
                         progressed = true;
                     }
                     absorbed += covered;
-                    stitch_reply(&ctx, cluster.members.addr(*widx), reply.phases, reply.wall);
+                    stitch_reply(&ctx, cluster.members.addr(*widx), &reply.phases, reply.wall);
                 }
                 Err(CallFailure::WorkerLost(reason)) => {
                     obs::event(
@@ -514,12 +225,12 @@ fn scatter(
                             ("reason", reason.into()),
                         ],
                     );
-                    state.metrics.cluster_worker_errors.inc();
+                    metrics.cluster_worker_errors.inc();
                     cluster.members.mark_down(*widx);
                     transient_failures += 1;
                 }
                 Err(CallFailure::Overloaded) => {
-                    state.metrics.cluster_worker_errors.inc();
+                    metrics.cluster_worker_errors.inc();
                     cluster.members.mark_down(*widx);
                     transient_failures += 1;
                 }
@@ -568,102 +279,55 @@ fn plan_assignments(gaps: &[Range<u64>], healthy: &[usize]) -> Vec<(usize, Range
 }
 
 /// A successful range call: the worker's partial, its phase profile
-/// (absent from v1 workers), and the call's wall time as seen from the
-/// coordinator.
+/// (empty when the worker recorded none), and the call's wall time as
+/// seen from the coordinator.
 struct RangeReply {
     state: PartialState,
-    phases: Option<Vec<obs::PhaseStat>>,
+    phases: Vec<obs::PhaseStat>,
     wall: Duration,
 }
 
 /// Folds one worker reply into the request's profile: each returned
 /// phase becomes a worker-labeled child entry (`addr/phase`), and the
 /// gap between the call's wall time and the worker's own accounted
-/// time is charged to `cluster.network`. A v1 worker returns no
-/// profile — its whole call degrades to one `addr/unattributed` entry
-/// rather than an error.
-fn stitch_reply(
-    ctx: &obs::ObsCtx,
-    addr: &str,
-    phases: Option<Vec<obs::PhaseStat>>,
-    wall: Duration,
-) {
+/// time is charged to `cluster.network`.
+fn stitch_reply(ctx: &obs::ObsCtx, addr: &str, phases: &[obs::PhaseStat], wall: Duration) {
     let Some(profile) = &ctx.profile else { return };
-    match phases {
-        Some(phases) => {
-            let accounted: f64 = phases.iter().map(|p| p.secs).sum();
-            for p in &phases {
-                profile.absorb(&format!("{addr}/{}", p.name), p.secs, p.items, p.calls);
-            }
-            let overhead = wall.as_secs_f64() - accounted;
-            if overhead > 0.0 {
-                profile.absorb("cluster.network", overhead, 0, 1);
-            }
-        }
-        None => profile.absorb(&format!("{addr}/unattributed"), wall.as_secs_f64(), 0, 1),
+    let accounted: f64 = phases.iter().map(|p| p.secs).sum();
+    for p in phases {
+        profile.absorb(&format!("{addr}/{}", p.name), p.secs, p.items, p.calls);
+    }
+    let overhead = wall.as_secs_f64() - accounted;
+    if overhead > 0.0 {
+        profile.absorb("cluster.network", overhead, 0, 1);
     }
 }
 
-/// One framed range call with retries; classifies the failure. A
-/// worker that rejects the v2 frame with `BadVersion` (pre-trace
-/// build) gets the same range re-sent as a v1 frame without the trace
-/// context — mixed-version clusters lose attribution, never answers.
+/// One framed range call with retries; classifies the failure.
 fn call_worker(
     addr: &str,
     retry: &RetryPolicy,
-    spec: &ScatterSpec<'_>,
-    range: Range<u64>,
-    trace: Option<proto::TraceContext>,
+    request: &RangeRequest,
 ) -> Result<RangeReply, CallFailure> {
     let started = Instant::now();
-    let request = RangeRequest {
-        graph: spec.graph.to_string(),
-        method: spec.method.to_string(),
-        trials: spec.trials,
-        prep: spec.prep,
-        seed: spec.seed,
-        threads: spec.threads,
-        start: range.start,
-        end: range.end,
-        candidates: spec.candidates.cloned(),
-        trace,
-    };
-    let result = match post_range(addr, retry, &request.encode()) {
-        Err(CallFailure::Fatal {
-            status: 400,
-            ref body,
-        }) if body.contains("unsupported format version") => {
-            obs::event(
-                "cluster.proto_downgrade",
-                &[("worker", addr.into()), ("version", 1u64.into())],
-            );
-            post_range(addr, retry, &request.encode_v1())
-        }
-        other => other,
-    };
-    result.map(|(state, phases)| RangeReply {
-        state,
-        phases,
-        wall: started.elapsed(),
-    })
-}
-
-/// Posts one already-encoded frame and decodes the reply.
-fn post_range(
-    addr: &str,
-    retry: &RetryPolicy,
-    frame: &[u8],
-) -> Result<(PartialState, Option<Vec<obs::PhaseStat>>), CallFailure> {
     match client::call_retry_expect(
         addr,
         "POST",
         "/v1/internal/solve-range",
-        frame,
+        &request.encode(),
         "application/octet-stream",
         retry,
     ) {
-        Ok((_headers, bytes, _retries)) => proto::decode_response(&bytes)
-            .map_err(|e| CallFailure::WorkerLost(format!("undecodable response: {e}"))),
+        Ok((_headers, bytes, _retries)) => match proto::decode_response(&bytes) {
+            Ok((state, phases)) => Ok(RangeReply {
+                state,
+                phases: phases.unwrap_or_default(),
+                wall: started.elapsed(),
+            }),
+            Err(e) => Err(CallFailure::WorkerLost(format!(
+                "undecodable response: {e}"
+            ))),
+        },
         Err(ClientError::Transport(e)) => Err(CallFailure::WorkerLost(e.to_string())),
         Err(ClientError::Status {
             status: 429 | 503, ..
@@ -677,10 +341,10 @@ fn post_range(
 /// overlaps, but out-of-range coverage in untouched space would pass
 /// silently without this check).
 fn check_containment(piece: &PartialState, assigned: &Range<u64>) -> Result<(), ClusterError> {
-    let (_, requested) = merge::progress_of(piece);
+    let requested = piece.coverage().trials_requested();
     let mut cursor = 0u64;
     let mut done = Vec::new();
-    for gap in merge::missing_of(piece) {
+    for gap in piece.coverage().missing() {
         if cursor < gap.start {
             done.push(cursor..gap.start);
         }

@@ -5,7 +5,7 @@
 //! partitions the trial space with the canonical
 //! [`mpmb_core::chunk_ranges`] split, fans the ranges out to workers
 //! over `POST /v1/internal/solve-range` (a codec-framed
-//! [`crate::solve::PartialState`] comes back per range), and absorbs
+//! [`crate::job::PartialState`] comes back per range), and absorbs
 //! the returned accumulators into one master partial. Because every
 //! engine draws a trial's randomness from the trial *index* alone and
 //! merging is order-insensitive, the assembled result is **byte
@@ -29,7 +29,6 @@
 
 pub(crate) mod coordinator;
 pub(crate) mod membership;
-pub(crate) mod merge;
 pub(crate) mod proto;
 pub(crate) mod worker;
 
@@ -98,8 +97,6 @@ impl Cluster {
 /// Why a scattered request could not be answered.
 #[derive(Debug)]
 pub enum ClusterError {
-    /// The request itself is invalid (unknown method, bad state).
-    BadRequest(String),
     /// Every configured worker is down and a fresh probe round found
     /// none alive.
     NoWorkers,
@@ -120,7 +117,6 @@ pub enum ClusterError {
 impl std::fmt::Display for ClusterError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ClusterError::BadRequest(msg) => write!(f, "{msg}"),
             ClusterError::NoWorkers => write!(f, "no healthy cluster workers"),
             ClusterError::Worker { addr, status, body } => {
                 write!(f, "worker {addr} answered {status}: {body}")

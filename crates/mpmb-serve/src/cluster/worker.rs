@@ -2,46 +2,45 @@
 //! `POST /v1/internal/solve-range`.
 //!
 //! A worker is an ordinary server that additionally answers range
-//! calls: decode the frame, look up the graph, build the exact engine
-//! a single-node run would build (same config, same seed), and execute
-//! just the requested index range through
-//! [`mpmb_core::Executor::run_subrange`]. The response is the framed
-//! [`PartialState`] — the same bytes a local run's checkpoint of that
-//! range would hold.
+//! calls: decode the frame, look up the graph, and run just the
+//! requested index range through [`Job::run_range`] — the same engine,
+//! seeded the same way, that a single-node run of the job builds. The
+//! response is the framed [`crate::job::PartialState`]: the same bytes
+//! a local run's checkpoint of that range would hold.
 //!
 //! A worker that hits its own `--timeout-ms` mid-range still answers
 //! `200` with whatever prefix of the range completed: partial coverage
 //! is a *legitimate* response, and the coordinator re-dispatches only
-//! the remaining trials. Only malformed frames (400), unknown graphs
-//! (404), and unknown methods (400) are errors.
+//! the remaining trials. Only malformed frames (400, including frames
+//! of another protocol version), unknown graphs (404), and unknown
+//! methods (400) are errors.
 //!
-//! When a v2 request carries the coordinator's trace context, the
-//! worker re-installs its observability context around the range — the
+//! When a request carries the coordinator's trace context, the worker
+//! re-installs its observability context around the range — the
 //! coordinator's trace id with a fresh per-hop span id parented on the
 //! dispatching span. A `cluster.range.served` event emitted under that
 //! context is the worker-side anchor of the cross-node timeline (it
 //! lands in the worker's own trace sink *under the coordinator's trace
-//! id*), and the per-phase profile is shipped back in the response for
-//! stitching.
+//! id*), and the per-phase profile — the engine phase of the range
+//! included — is shipped back in the response for stitching.
 
 use super::proto::{self, RangeRequest};
 use crate::http::{Request, Response};
+use crate::job::{Cancel, Endpoint, Job, Method};
 use crate::server::AppState;
-use crate::solve::{Cancel, PartialState};
-use bigraph::UncertainBipartiteGraph;
-use mpmb_core::{
-    CountTrials, Executor, KarpLubyTrials, KlTrialPolicy, McVpConfig, McVpTrials, OlsConfig,
-    OptimizedTrials, OsConfig, OsTrials, SublinearTrials,
-};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Handles one range call end to end.
 pub(crate) fn handle_solve_range(state: &AppState, req: &Request) -> Response {
     let started = Instant::now();
-    let (rr, version) = match RangeRequest::decode_versioned(&req.body) {
+    let rr = match RangeRequest::decode(&req.body) {
         Ok(r) => r,
         Err(e) => return Response::error(400, &format!("bad range request: {e}")),
+    };
+    let method = match Method::parse(Endpoint::Range, &rr.method) {
+        Ok(m) => m,
+        Err(msg) => return Response::error(400, &msg),
     };
     // Join the coordinator's trace: same trace id, fresh hop span id,
     // parented on the dispatching span. The request-scoped profile and
@@ -69,11 +68,16 @@ pub(crate) fn handle_solve_range(state: &AppState, req: &Request) -> Response {
         Ok(g) => g,
         Err(e) => return Response::error(503, &format!("graph unavailable: {e}")),
     };
-    let threads = (rr.threads.max(1) as usize).min(state.solver_thread_cap);
+    let job = Job {
+        graph: rr.graph.clone(),
+        prep: rr.prep,
+        threads: (rr.threads.max(1) as usize).min(state.solver_thread_cap),
+        ..Job::new(Endpoint::Range, method, rr.trials, rr.seed)
+    };
     let cancel = Cancel::at(state.timeout.map(|t| Instant::now() + t));
-    match solve_range(&graph, &rr, threads, &cancel) {
+    match job.run_range(&graph, rr.candidates, rr.start..rr.end, &cancel) {
         Ok(partial) => {
-            let (done, _) = super::merge::progress_of(&partial);
+            let done = partial.coverage().trials_done();
             state.metrics.trials_executed.add(done);
             let phases = outer.profile.as_ref().map(|p| p.snapshot());
             // Emitted while the hop context is installed: this line in
@@ -92,247 +96,123 @@ pub(crate) fn handle_solve_range(state: &AppState, req: &Request) -> Response {
                     ("dur_us", (started.elapsed().as_micros() as u64).into()),
                 ],
             );
-            Response::octets(
-                200,
-                proto::encode_response(version, &partial, phases.as_deref()),
-            )
+            Response::octets(200, proto::encode_response(&partial, phases.as_deref()))
         }
-        Err(msg) => Response::error(400, &msg),
-    }
-}
-
-/// Runs `[start, end)` of the request's trial space and returns the
-/// covered partial. The partial spans the *full* space (so the
-/// coordinator can absorb it directly); its done-set covers the prefix
-/// of the range that completed before `cancel` fired.
-fn solve_range(
-    g: &UncertainBipartiteGraph,
-    rr: &RangeRequest,
-    threads: usize,
-    cancel: &Cancel,
-) -> Result<PartialState, String> {
-    let exec = Executor::new(threads);
-    let range = rr.start..rr.end;
-    match rr.method.as_str() {
-        "os" => {
-            if rr.end > rr.trials {
-                return Err(format!("range {range:?} escapes 0..{}", rr.trials));
-            }
-            let engine = OsTrials::new(
-                g,
-                &OsConfig {
-                    trials: rr.trials,
-                    seed: rr.seed,
-                    ..Default::default()
-                },
-            );
-            Ok(PartialState::Os(
-                exec.run_subrange(&engine, range, rr.trials, cancel),
-            ))
-        }
-        "mcvp" => {
-            if rr.end > rr.trials {
-                return Err(format!("range {range:?} escapes 0..{}", rr.trials));
-            }
-            let engine = McVpTrials::new(
-                g,
-                &McVpConfig {
-                    trials: rr.trials,
-                    seed: rr.seed,
-                },
-            );
-            Ok(PartialState::McVp(
-                exec.run_subrange(&engine, range, rr.trials, cancel),
-            ))
-        }
-        "ols" => {
-            let candidates = rr
-                .candidates
-                .clone()
-                .ok_or("ols range requires a candidate set")?;
-            if rr.end > rr.trials {
-                return Err(format!("range {range:?} escapes 0..{}", rr.trials));
-            }
-            let cfg = ols_config(rr);
-            let engine = OptimizedTrials::new(g, &candidates, cfg.sample_seed());
-            let partial = exec.run_subrange(&engine, range, rr.trials, cancel);
-            Ok(PartialState::OlsSample {
-                candidates,
-                partial,
-            })
-        }
-        "ols-kl" => {
-            let candidates = rr
-                .candidates
-                .clone()
-                .ok_or("ols-kl range requires a candidate set")?;
-            let total = candidates.len() as u64;
-            if rr.end > total {
-                return Err(format!("range {range:?} escapes 0..{total} candidates"));
-            }
-            let cfg = ols_config(rr);
-            let engine = KarpLubyTrials::new(
-                g,
-                &candidates,
-                KlTrialPolicy::Fixed(rr.trials),
-                cfg.sample_seed(),
-            );
-            // One KL "trial" is a whole candidate: check the deadline
-            // per candidate, matching the single-node driver.
-            let partial = exec
-                .check_every(1)
-                .run_subrange(&engine, range, total, cancel);
-            Ok(PartialState::Kl {
-                candidates,
-                partial,
-            })
-        }
-        "count" => {
-            if rr.end > rr.trials {
-                return Err(format!("range {range:?} escapes 0..{}", rr.trials));
-            }
-            let engine = CountTrials::new(g, rr.seed);
-            Ok(PartialState::Count(
-                exec.run_subrange(&engine, range, rr.trials, cancel),
-            ))
-        }
-        "fast" => {
-            if rr.end > rr.trials {
-                return Err(format!("range {range:?} escapes 0..{}", rr.trials));
-            }
-            let engine = SublinearTrials::new(g, rr.seed);
-            Ok(PartialState::Fast(
-                exec.run_subrange(&engine, range, rr.trials, cancel),
-            ))
-        }
-        other => Err(format!(
-            "unknown range method `{other}` (expected os|mcvp|ols|ols-kl|count|fast)"
-        )),
-    }
-}
-
-/// The OLS config a single-node run would use for these parameters —
-/// seeding (notably `sample_seed()`) must match exactly.
-fn ols_config(rr: &RangeRequest) -> OlsConfig {
-    OlsConfig {
-        prep_trials: rr.prep,
-        seed: rr.seed,
-        ..Default::default()
+        Err(e) => Response::error(400, &e.to_string()),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::merge;
-    use bigraph::{GraphBuilder, Left, Right};
+    use crate::job::PartialState;
+    use crate::{Role, Server, ServerConfig};
+    use bigraph::codec::{seal_frame, Encoder};
 
-    fn graph() -> UncertainBipartiteGraph {
-        let mut b = GraphBuilder::new();
-        b.add_edge(Left(0), Right(0), 2.0, 0.5).unwrap();
-        b.add_edge(Left(0), Right(1), 2.0, 0.6).unwrap();
-        b.add_edge(Left(0), Right(2), 1.0, 0.8).unwrap();
-        b.add_edge(Left(1), Right(0), 3.0, 0.3).unwrap();
-        b.add_edge(Left(1), Right(1), 3.0, 0.4).unwrap();
-        b.add_edge(Left(1), Right(2), 1.0, 0.7).unwrap();
-        b.build().unwrap()
-    }
-
-    fn rr(method: &str, trials: u64, start: u64, end: u64) -> RangeRequest {
-        RangeRequest {
+    /// A worker with graph `g` registered, and a range call for `os`
+    /// trials `start..end` of 4000 on it.
+    fn worker_and_request(start: u64, end: u64) -> (Server, RangeRequest) {
+        let server = Server::start(ServerConfig {
+            listen: "127.0.0.1:0".to_string(),
+            threads: 1,
+            role: Role::Worker,
+            ..ServerConfig::default()
+        })
+        .expect("start worker");
+        server
+            .state()
+            .registry
+            .load("g", "dataset:abide:0.01:3")
+            .expect("load graph");
+        let rr = RangeRequest {
             graph: "g".to_string(),
-            method: method.to_string(),
-            trials,
-            prep: 60,
+            method: "os".to_string(),
+            trials: 4_000,
+            prep: 100,
             seed: 17,
-            threads: 2,
+            threads: 1,
             start,
             end,
             candidates: None,
             trace: None,
+        };
+        (server, rr)
+    }
+
+    fn post(server: &Server, body: Vec<u8>) -> Response {
+        let req = Request {
+            method: "POST".to_string(),
+            path: "/v1/internal/solve-range".to_string(),
+            query: String::new(),
+            version: "HTTP/1.1".to_string(),
+            headers: Vec::new(),
+            body,
+        };
+        handle_solve_range(server.state(), &req)
+    }
+
+    fn stop(server: Server) {
+        server.begin_shutdown();
+        server.join();
+    }
+
+    /// The range protocol speaks one version: a version-1 frame (the
+    /// request layout without the trace flag) is a 400, not a panic.
+    #[test]
+    fn v1_frame_is_rejected_with_400() {
+        let (server, rr) = worker_and_request(0, 100);
+        let mut enc = Encoder::new();
+        enc.str(&rr.graph);
+        enc.str(&rr.method);
+        for v in [rr.trials, rr.prep, rr.seed, rr.threads, rr.start, rr.end] {
+            enc.u64(v);
         }
+        enc.u8(0); // no candidates
+        let resp = post(&server, seal_frame(proto::REQ_MAGIC, 1, &enc.into_bytes()));
+        assert_eq!(resp.status, 400);
+        let body = String::from_utf8(resp.body).unwrap();
+        assert!(body.contains("unsupported format version 1"), "{body}");
+        stop(server);
+    }
+
+    /// A range served under a request profile ships the engine phase
+    /// of exactly that range back for stitching.
+    #[test]
+    fn range_reply_carries_the_engine_phase() {
+        let (server, rr) = worker_and_request(1_000, 2_500);
+        let profile = Arc::new(obs::Profile::new());
+        let resp = {
+            let _obs = obs::install(obs::ObsCtx {
+                trace_id: None,
+                span: None,
+                profile: Some(Arc::clone(&profile)),
+                solver: None,
+            });
+            post(&server, rr.encode())
+        };
+        assert_eq!(resp.status, 200);
+        let (state, phases) = proto::decode_response(&resp.body).unwrap();
+        assert!(matches!(state, PartialState::Os(_)));
+        assert_eq!(state.coverage().trials_done(), 1_500);
+        let phases = phases.expect("profile shipped");
+        let sample = phases
+            .iter()
+            .find(|p| p.name == "os.sample")
+            .unwrap_or_else(|| panic!("no os.sample phase in {phases:?}"));
+        assert_eq!(sample.items, rr.end - rr.start);
+        stop(server);
     }
 
     #[test]
-    fn os_range_pieces_reassemble_the_full_run() {
-        let g = graph();
-        // Full-space reference through the same engine.
-        let engine = OsTrials::new(
-            &g,
-            &OsConfig {
-                trials: 900,
-                seed: 17,
-                ..Default::default()
-            },
-        );
-        let full = Executor::new(2).run_subrange(&engine, 0..900, 900, &Cancel::never());
-        let reference: Vec<_> = full.acc.counts().map(|(b, c)| (*b, *c)).collect();
-
-        let mut master = solve_range(&g, &rr("os", 900, 0, 300), 1, &Cancel::never()).unwrap();
-        for (s, e) in [(600, 900), (300, 600)] {
-            let piece = solve_range(&g, &rr("os", 900, s, e), 2, &Cancel::never()).unwrap();
-            merge::absorb_state(&mut master, piece).unwrap();
-        }
-        assert!(merge::completed(&master));
-        match master {
-            PartialState::Os(p) => {
-                let got: Vec<_> = p.acc.counts().map(|(b, c)| (*b, *c)).collect();
-                assert_eq!(got, reference);
-            }
-            other => panic!("wrong variant: {}", other.kind()),
-        }
-    }
-
-    #[test]
-    fn fast_range_pieces_reassemble_the_full_run() {
-        let g = graph();
-        let engine = SublinearTrials::new(&g, 17);
-        let full = Executor::new(2).run_subrange(&engine, 0..900, 900, &Cancel::never());
-        let reference = engine.finalize(full.acc, 0.1);
-
-        let mut master = solve_range(&g, &rr("fast", 900, 0, 300), 1, &Cancel::never()).unwrap();
-        for (s, e) in [(600, 900), (300, 600)] {
-            let piece = solve_range(&g, &rr("fast", 900, s, e), 2, &Cancel::never()).unwrap();
-            merge::absorb_state(&mut master, piece).unwrap();
-        }
-        assert!(merge::completed(&master));
-        match master {
-            PartialState::Fast(p) => {
-                let got = engine.finalize(p.acc, 0.1);
-                assert_eq!(got.estimate.to_bits(), reference.estimate.to_bits());
-                assert_eq!(got.ci_high.to_bits(), reference.ci_high.to_bits());
-            }
-            other => panic!("wrong variant: {}", other.kind()),
-        }
-    }
-
-    #[test]
-    fn ols_ranges_require_candidates() {
-        let g = graph();
-        assert!(solve_range(&g, &rr("ols", 500, 0, 100), 1, &Cancel::never()).is_err());
-        assert!(solve_range(&g, &rr("ols-kl", 50, 0, 1), 1, &Cancel::never()).is_err());
-    }
-
-    #[test]
-    fn out_of_space_ranges_are_rejected() {
-        let g = graph();
-        assert!(solve_range(&g, &rr("os", 100, 50, 150), 1, &Cancel::never()).is_err());
-        assert!(solve_range(&g, &rr("nope", 100, 0, 10), 1, &Cancel::never()).is_err());
-    }
-
-    #[test]
-    fn expired_deadline_yields_partial_range_coverage() {
-        let g = graph();
-        let partial = solve_range(
-            &g,
-            &rr("os", 1_000_000, 0, 1_000_000),
-            1,
-            &Cancel::after_trials(200),
-        )
-        .unwrap();
-        let (done, requested) = merge::progress_of(&partial);
-        assert!(done > 0 && done < requested, "done={done}");
-        // The covered prefix starts at the range start.
-        assert_eq!(merge::missing_of(&partial), vec![done..1_000_000]);
+    fn unknown_method_is_rejected_before_the_graph_is_touched() {
+        let (server, rr) = worker_and_request(0, 100);
+        let rr = RangeRequest {
+            method: "nope".to_string(),
+            graph: "missing".to_string(),
+            ..rr
+        };
+        // 400 for the method, not 404 for the graph.
+        assert_eq!(post(&server, rr.encode()).status, 400);
+        stop(server);
     }
 }

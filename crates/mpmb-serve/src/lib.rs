@@ -14,7 +14,7 @@
 //! * a **deterministic result cache** — solvers are pure functions of
 //!   `(graph, method, trials, seed, …)`, so finished responses replay
 //!   verbatim, and timed-out requests cache their resumable
-//!   [`solve::PartialState`] so a repeat *refines* the answer instead
+//!   [`job::PartialState`] so a repeat *refines* the answer instead
 //!   of restarting at trial zero;
 //! * **robustness** — per-request deadlines with cancellable solver
 //!   loops (503 + partial trial counts), a bounded accept queue with
@@ -38,13 +38,13 @@ pub mod client;
 pub mod cluster;
 pub mod fault;
 pub mod http;
+pub mod job;
 pub mod json;
 pub mod loadgen;
 pub mod metrics;
 pub mod registry;
 pub mod server;
 pub mod signal;
-pub mod solve;
 
 pub use cache::{CacheEntry, ResultCache};
 pub use checkpoint::ManifestEntry;
@@ -52,11 +52,11 @@ pub use checkpoint::{CheckpointStore, LoadOutcome, Snapshot};
 pub use client::{call_retry, call_retry_expect, ClientError, Retried, RetryPolicy};
 pub use cluster::{Cluster, ClusterError, Role};
 pub use fault::{FaultAction, FaultPlan};
+pub use job::{
+    Answer, Backend, Cancel, Endpoint, Job, JobError, Method, Outcome, Partial, PartialState,
+    Progress, CHECK_EVERY,
+};
 pub use loadgen::{LoadReport, LoadgenConfig};
 pub use metrics::Metrics;
 pub use registry::{GraphHandle, Registry, RegistryError};
 pub use server::{AppState, Server, ServerConfig, SolveTrace};
-pub use solve::{
-    advance_count, advance_query, advance_solve, Cancel, CountProgress, Outcome, Partial,
-    PartialState, Progress, QueryProgress, SolveProgress, CHECK_EVERY,
-};

@@ -21,12 +21,12 @@ use crate::checkpoint::{CheckpointStore, LoadOutcome, Snapshot};
 use crate::cluster::{self, Cluster, ClusterError, Role};
 use crate::fault::{self, FaultAction, FaultPlan};
 use crate::http::{read_request, write_response, ReadError, Request, Response};
+use crate::job::{Answer, Backend, Cancel, Endpoint, Job, JobError, Method, Outcome, PartialState};
 use crate::json::Json;
 use crate::metrics::{endpoint_index, Metrics};
 use crate::registry::{Registry, RegistryError};
 use crate::signal;
-use crate::solve::{self, Cancel, Outcome, PartialState};
-use mpmb_core::{Butterfly, Distribution};
+use mpmb_core::Butterfly;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
@@ -136,8 +136,7 @@ pub struct Budget {
     pub materialize: f64,
     /// Candidate preparation: OLS prepare passes and listing phases.
     pub prepare: f64,
-    /// Trial execution (sampling phases, plus time on legacy workers
-    /// that ship no profile).
+    /// Trial execution (sampling phases, on this node or a worker).
     pub trials: f64,
     /// Cluster dispatch and merge: scatter/gather overhead plus
     /// per-worker wall time no worker phase accounted for.
@@ -158,7 +157,6 @@ impl Budget {
                 "queue.wait" => &mut b.queue,
                 "registry.materialize" => &mut b.materialize,
                 "cluster.merge" | "cluster.network" => &mut b.network,
-                "unattributed" => &mut b.trials,
                 n if n.contains("prepare") || n.contains("listing") => &mut b.prepare,
                 _ => &mut b.trials,
             };
@@ -797,10 +795,10 @@ fn route(state: &AppState, req: &Request) -> Response {
         ("GET", "/healthz") => handle_healthz(state),
         ("GET", "/v1/graphs") => handle_list_graphs(state),
         ("POST", "/v1/graphs") => handle_register_graph(state, req),
-        ("POST", "/v1/solve") => handle_solve(state, req, SolveMode::Solve),
-        ("POST", "/v1/topk") => handle_solve(state, req, SolveMode::TopK),
-        ("POST", "/v1/query") => handle_query(state, req),
-        ("POST", "/v1/count") => handle_count(state, req),
+        ("POST", "/v1/solve") => handle_job(state, req, Endpoint::Solve),
+        ("POST", "/v1/topk") => handle_job(state, req, Endpoint::TopK),
+        ("POST", "/v1/query") => handle_job(state, req, Endpoint::Query),
+        ("POST", "/v1/count") => handle_job(state, req, Endpoint::Count),
         ("POST", "/v1/internal/solve-range") => cluster::worker::handle_solve_range(state, req),
         ("GET", "/metrics") => Response::metrics_text(state.metrics.render()),
         ("GET", "/metrics/cluster") => handle_metrics_cluster(state),
@@ -1058,92 +1056,34 @@ fn handle_register_graph(state: &AppState, req: &Request) -> Response {
     }
 }
 
-/// `/v1/solve` and `/v1/topk` share everything except result shaping.
-#[derive(Clone, Copy, PartialEq)]
-enum SolveMode {
-    Solve,
-    TopK,
-}
-
-fn handle_solve(state: &AppState, req: &Request, mode: SolveMode) -> Response {
-    let body = match parse_body(req) {
-        Ok(b) => b,
+/// Every solve-like endpoint: parse the [`Job`], look up the cache,
+/// advance, then answer with the body or a 503 carrying the partial.
+fn handle_job(state: &AppState, req: &Request, endpoint: Endpoint) -> Response {
+    let job = match parse_body(req).and_then(|body| parse_job(state, endpoint, &body)) {
+        Ok(job) => job,
         Err(resp) => return resp,
     };
-    let (name, entry) = match lookup_graph(state, &body) {
-        Ok(ge) => ge,
-        Err(resp) => return resp,
+    let entry = match state.registry.get(&job.graph) {
+        Some(entry) => entry,
+        None => return Response::error(404, &format!("graph `{}` is not registered", job.graph)),
     };
     let graph = match materialize_graph(state, &entry) {
         Ok(g) => g,
         Err(resp) => return resp,
     };
-    let method = body
-        .get("method")
-        .and_then(Json::as_str)
-        .unwrap_or("os")
-        .to_string();
-    let trials = body.get("trials").and_then(Json::as_u64).unwrap_or(20_000);
-    let prep = body.get("prep").and_then(Json::as_u64).unwrap_or(100);
-    let seed = body.get("seed").and_then(Json::as_u64).unwrap_or(0x5EED);
-    let threads = match solver_threads(state, &body) {
-        Ok(t) => t,
-        Err(resp) => return resp,
-    };
-    let k = body.get("k").and_then(Json::as_u64).unwrap_or(match mode {
-        SolveMode::Solve => 0,
-        SolveMode::TopK => 5,
-    }) as usize;
-    let max_shared = body.get("max_shared").and_then(Json::as_u64);
-    if trials == 0 || (matches!(method.as_str(), "ols" | "ols-kl") && prep == 0) {
-        return Response::error(400, "trials and prep must be positive");
-    }
-    if method == "fast" {
-        if mode == SolveMode::TopK {
-            return Response::error(
-                400,
-                "method `fast` estimates the expected count, not a butterfly ranking",
-            );
-        }
-        return handle_fast_solve(
-            state, &name, &graph, &body, trials, prep, seed, threads, k, max_shared,
-        );
-    }
-
-    // Thread count is excluded: parallel runs are bit-identical.
-    let key = format!(
-        "{}|{name}|{method}|{trials}|{prep}|{seed}|{k}|{max_shared:?}",
-        if mode == SolveMode::TopK {
-            "topk"
-        } else {
-            "solve"
-        },
-    );
+    let key = job.cache_key();
     let prior = match lookup_cache(state, &key) {
         CacheLookup::Complete(hit) => return Response::json(200, hit),
         CacheLookup::Partial(p) => Some(p),
         CacheLookup::Miss => None,
     };
-
-    let cancel = Cancel::at(state.timeout.map(|t| Instant::now() + t));
-    let progress = match &state.cluster {
-        Some(cluster) => match cluster::coordinator::advance_cluster_solve(
-            state, cluster, &name, &graph, &method, trials, prep, seed, threads, prior, &cancel,
-        ) {
-            Ok(p) => p,
-            Err(e) => return cluster_error_response(&e),
-        },
-        None => {
-            match solve::advance_solve(&graph, &method, trials, prep, seed, threads, prior, &cancel)
-            {
-                Ok(p) => p,
-                Err(msg) => return Response::error(400, &msg),
-            }
-        }
+    let deadline = state.timeout.map(|t| Instant::now() + t);
+    let progress = match advance(state, &job, &graph, prior, deadline) {
+        Ok(p) => p,
+        Err(e) => return job_error_response(&e),
     };
-    state.metrics.trials_executed.add(progress.executed);
-    let distribution = match progress.outcome {
-        Outcome::Done(d) => d,
+    let answer = match progress.outcome {
+        Outcome::Done(answer) => answer,
         Outcome::Incomplete(partial) => {
             return deadline_response(
                 state,
@@ -1154,224 +1094,139 @@ fn handle_solve(state: &AppState, req: &Request, mode: SolveMode) -> Response {
             );
         }
     };
-
-    let body = solve_body(
-        &name,
-        &method,
-        seed,
-        progress.trials_requested,
+    let mut escalated = false;
+    if let Answer::Fast(est) = &answer {
+        state.metrics.fast_requests.inc();
+        state
+            .metrics
+            .fast_relative_error
+            .observe(est.relative_error);
+        if let Some(exact) = job.exact_tier().filter(|_| state.fast_escalate) {
+            let half_width = est.ci_high - est.estimate;
+            escalated = mpmb_core::fast_escalation_needed(est.estimate, half_width, job.epsilon);
+            if escalated {
+                state.metrics.fast_escalations.inc();
+                escalate_to_exact(state, &exact, &graph, deadline);
+            }
+        }
+    }
+    let body = job.body(
         progress.trials_done,
-        &distribution,
-        mode,
-        k,
-        max_shared,
+        progress.trials_requested,
+        &answer,
+        escalated,
     );
     state.cache.put_complete(&key, &body);
     Response::json(200, body)
 }
 
-/// The completed solve/topk response body. Shared by [`handle_solve`]
-/// and the fast tier's escalation path, so an escalation-completed
-/// exact answer replays byte-identical to a directly-served one.
-#[allow(clippy::too_many_arguments)]
-fn solve_body(
-    name: &str,
-    method: &str,
-    seed: u64,
-    trials_requested: u64,
-    trials_done: u64,
-    distribution: &Distribution,
-    mode: SolveMode,
-    k: usize,
-    max_shared: Option<u64>,
-) -> String {
-    let mut fields = vec![
-        ("graph".to_string(), Json::Str(name.to_string())),
-        ("method".to_string(), Json::Str(method.to_string())),
-        ("seed".to_string(), Json::Num(seed as f64)),
-        (
-            "trials_requested".to_string(),
-            Json::Num(trials_requested as f64),
-        ),
-        ("trials_done".to_string(), Json::Num(trials_done as f64)),
-        ("support".to_string(), Json::Num(distribution.len() as f64)),
-    ];
-    match mode {
-        SolveMode::Solve => {
-            fields.push(("mpmb".to_string(), mpmb_json(distribution)));
-            if k > 0 {
-                fields.push(("top".to_string(), top_json(distribution, k, max_shared)));
-            }
+/// Parses and checks a solve-like request body, before any graph or
+/// cache work.
+fn parse_job(state: &AppState, endpoint: Endpoint, body: &Json) -> Result<Job, Response> {
+    let graph = body
+        .get("graph")
+        .and_then(Json::as_str)
+        .ok_or_else(|| Response::error(400, "missing string field `graph`"))?;
+    let method = match endpoint {
+        Endpoint::Query => Method::Query,
+        _ => {
+            let default = if endpoint == Endpoint::Count {
+                "exact"
+            } else {
+                "os"
+            };
+            let name = body.get("method").and_then(Json::as_str).unwrap_or(default);
+            Method::parse(endpoint, name).map_err(|msg| Response::error(400, &msg))?
         }
-        SolveMode::TopK => {
-            fields.push(("k".to_string(), Json::Num(k as f64)));
-            fields.push(("top".to_string(), top_json(distribution, k, max_shared)));
-        }
-    }
-    Json::Obj(fields).to_string()
+    };
+    let (trials, k) = match endpoint {
+        Endpoint::Count => (2_000, 0),
+        Endpoint::TopK => (20_000, 5),
+        _ => (20_000, 0),
+    };
+    let trials = body.get("trials").and_then(Json::as_u64).unwrap_or(trials);
+    let seed = body.get("seed").and_then(Json::as_u64).unwrap_or(0x5EED);
+    let default = Job::new(endpoint, method, trials, seed);
+    let job = Job {
+        graph: graph.to_string(),
+        prep: body
+            .get("prep")
+            .and_then(Json::as_u64)
+            .unwrap_or(default.prep),
+        // Query estimates run on one thread and take no `threads`.
+        threads: match endpoint {
+            Endpoint::Query => 1,
+            _ => solver_threads(state, body)?,
+        },
+        delta: body
+            .get("delta")
+            .and_then(Json::as_f64)
+            .unwrap_or(default.delta),
+        epsilon: body
+            .get("epsilon")
+            .and_then(Json::as_f64)
+            .unwrap_or(default.epsilon),
+        k: body.get("k").and_then(Json::as_u64).unwrap_or(k) as usize,
+        max_shared: body.get("max_shared").and_then(Json::as_u64),
+        butterfly: match endpoint {
+            Endpoint::Query => Some(butterfly_field(body)?),
+            _ => None,
+        },
+        ..default
+    };
+    job.check().map_err(|msg| Response::error(400, &msg))?;
+    Ok(job)
 }
 
-/// Runs (or resumes) one fast-tier estimate: cache lookup, dispatch
-/// (cluster or local), deadline handling, and the per-answer fast
-/// metrics. `Err` carries the response to send directly — a complete
-/// cache replay, a 503 with the partial cached, or a 4xx/5xx.
-#[allow(clippy::too_many_arguments)]
-fn run_fast(
+/// Runs `job` on this node's backend — the workers on a coordinator,
+/// in process otherwise — and counts the trials it executed.
+fn advance(
     state: &AppState,
-    key: &str,
-    name: &str,
+    job: &Job,
     graph: &bigraph::UncertainBipartiteGraph,
-    trials: u64,
-    seed: u64,
-    delta: f64,
-    threads: usize,
+    prior: Option<PartialState>,
     deadline: Option<Instant>,
-) -> Result<(mpmb_core::FastEstimate, u64, u64), Response> {
-    let prior = match lookup_cache(state, key) {
-        CacheLookup::Complete(hit) => return Err(Response::json(200, hit)),
-        CacheLookup::Partial(p) => Some(p),
-        CacheLookup::Miss => None,
+) -> Result<crate::job::Progress, JobError> {
+    let backend = match &state.cluster {
+        Some(cluster) => Backend::Cluster {
+            cluster,
+            metrics: &state.metrics,
+        },
+        None => Backend::Local,
     };
-    let cancel = Cancel::at(deadline);
-    let progress = match &state.cluster {
-        Some(cluster) => cluster::coordinator::advance_cluster_fast(
-            state, cluster, name, graph, trials, seed, delta, threads, prior, &cancel,
-        )
-        .map_err(|e| cluster_error_response(&e))?,
-        None => solve::advance_fast(graph, trials, seed, delta, threads, prior, &cancel)
-            .map_err(|msg| Response::error(400, &msg))?,
-    };
+    let progress = job.advance(graph, &backend, prior, &Cancel::at(deadline))?;
     state.metrics.trials_executed.add(progress.executed);
-    match progress.outcome {
-        Outcome::Done(est) => {
-            state.metrics.fast_requests.inc();
-            state
-                .metrics
-                .fast_relative_error
-                .observe(est.relative_error);
-            Ok((est, progress.trials_done, progress.trials_requested))
-        }
-        Outcome::Incomplete(partial) => Err(deadline_response(
-            state,
-            key,
-            partial,
-            progress.trials_done,
-            progress.trials_requested,
-        )),
-    }
-}
-
-/// `method=fast` on `/v1/solve`: a sublinear count estimate with a
-/// certified (1-delta) confidence interval, answered within the
-/// deadline the exact tiers would blow. With `--fast-escalate`, an
-/// answer whose CI misses the requested relative error seeds the
-/// exact os partial under the os cache key before returning.
-#[allow(clippy::too_many_arguments)]
-fn handle_fast_solve(
-    state: &AppState,
-    name: &str,
-    graph: &bigraph::UncertainBipartiteGraph,
-    body: &Json,
-    trials: u64,
-    prep: u64,
-    seed: u64,
-    threads: usize,
-    k: usize,
-    max_shared: Option<u64>,
-) -> Response {
-    let delta = body.get("delta").and_then(Json::as_f64).unwrap_or(0.05);
-    if !(delta > 0.0 && delta < 1.0) {
-        return Response::error(400, "delta must be in (0, 1)");
-    }
-    let epsilon = body.get("epsilon").and_then(Json::as_f64).unwrap_or(0.05);
-    if epsilon <= 0.0 || epsilon.is_nan() {
-        return Response::error(400, "epsilon must be positive");
-    }
-    let key = format!("fast|{name}|{trials}|{seed}|{delta}");
-    let deadline = state.timeout.map(|t| Instant::now() + t);
-    let (est, trials_done, trials_requested) = match run_fast(
-        state, &key, name, graph, trials, seed, delta, threads, deadline,
-    ) {
-        Ok(done) => done,
-        Err(resp) => return resp,
-    };
-    let half_width = est.ci_high - est.estimate;
-    let escalate =
-        state.fast_escalate && mpmb_core::fast_escalation_needed(est.estimate, half_width, epsilon);
-    if escalate {
-        state.metrics.fast_escalations.inc();
-        escalate_to_exact(
-            state, name, graph, trials, prep, seed, threads, k, max_shared, deadline,
-        );
-    }
-    let body = Json::obj([
-        ("graph", Json::Str(name.to_string())),
-        ("method", Json::Str("fast".to_string())),
-        ("seed", Json::Num(seed as f64)),
-        ("delta", Json::Num(delta)),
-        ("epsilon", Json::Num(epsilon)),
-        ("trials_requested", Json::Num(trials_requested as f64)),
-        ("trials_done", Json::Num(trials_done as f64)),
-        ("estimate", Json::Num(est.estimate)),
-        ("variance", Json::Num(est.variance)),
-        ("ci_low", Json::Num(est.ci_low)),
-        ("ci_high", Json::Num(est.ci_high)),
-        ("relative_error", Json::Num(est.relative_error)),
-        ("escalated", Json::Bool(escalate)),
-    ])
-    .to_string();
-    state.cache.put_complete(&key, &body);
-    Response::json(200, body)
+    Ok(progress)
 }
 
 /// Seeds (or advances) the exact os-tier partial behind a fast answer,
 /// spending whatever is left of the request's deadline. A completed
-/// escalation caches the finished os body — built by the same
-/// [`solve_body`] the os handler uses, so a `method=os` retry replays
-/// bytes identical to a direct run; an interrupted one caches the
-/// partial, so the retry resumes instead of restarting. Best-effort:
-/// errors leave the cache untouched and the fast answer stands.
-#[allow(clippy::too_many_arguments)]
+/// escalation caches the finished os body — the bytes a direct
+/// `method=os` run would serve; an interrupted one caches the partial,
+/// so the retry resumes instead of restarting. Best-effort: errors
+/// leave the cache untouched and the fast answer stands.
 fn escalate_to_exact(
     state: &AppState,
-    name: &str,
+    exact: &Job,
     graph: &bigraph::UncertainBipartiteGraph,
-    trials: u64,
-    prep: u64,
-    seed: u64,
-    threads: usize,
-    k: usize,
-    max_shared: Option<u64>,
     deadline: Option<Instant>,
 ) {
-    let key = format!("solve|{name}|os|{trials}|{prep}|{seed}|{k}|{max_shared:?}");
+    let key = exact.cache_key();
     let prior = match state.cache.get(&key) {
         Some(CacheEntry::Complete(_)) => return, // exact answer already cached
         Some(CacheEntry::Partial(p)) => Some(p),
         None => None,
     };
-    let cancel = Cancel::at(deadline);
-    let result = match &state.cluster {
-        Some(cluster) => cluster::coordinator::advance_cluster_solve(
-            state, cluster, name, graph, "os", trials, prep, seed, threads, prior, &cancel,
-        )
-        .map_err(|e| e.to_string()),
-        None => solve::advance_solve(graph, "os", trials, prep, seed, threads, prior, &cancel),
+    let Ok(progress) = advance(state, exact, graph, prior, deadline) else {
+        return;
     };
-    let Ok(progress) = result else { return };
-    state.metrics.trials_executed.add(progress.executed);
     match progress.outcome {
-        Outcome::Done(distribution) => {
-            let body = solve_body(
-                name,
-                "os",
-                seed,
-                progress.trials_requested,
+        Outcome::Done(answer) => {
+            let body = exact.body(
                 progress.trials_done,
-                &distribution,
-                SolveMode::Solve,
-                k,
-                max_shared,
+                progress.trials_requested,
+                &answer,
+                false,
             );
             state.cache.put_complete(&key, &body);
         }
@@ -1381,13 +1236,23 @@ fn escalate_to_exact(
     }
 }
 
-/// Maps a cluster failure onto the HTTP edge: caller mistakes are
-/// 400s, a fully-down worker set is a retryable 503, and worker
-/// misbehavior (wrong graph set, protocol violations) is a 502 — the
-/// coordinator is fine, its upstream is not.
+/// Maps a job failure onto the HTTP edge: caller mistakes are 400s, a
+/// query butterfly outside the backbone is a 404, and cluster failures
+/// map as [`cluster_error_response`] says.
+fn job_error_response(e: &JobError) -> Response {
+    match e {
+        JobError::Invalid(msg) => Response::error(400, msg),
+        JobError::NotInBackbone => Response::error(404, &e.to_string()),
+        JobError::Cluster(e) => cluster_error_response(e),
+    }
+}
+
+/// Maps a cluster failure onto the HTTP edge: a fully-down worker set
+/// is a retryable 503, and worker misbehavior (wrong graph set,
+/// protocol violations) is a 502 — the coordinator is fine, its
+/// upstream is not.
 fn cluster_error_response(e: &ClusterError) -> Response {
     match e {
-        ClusterError::BadRequest(msg) => Response::error(400, msg),
         ClusterError::NoWorkers => {
             Response::error(503, &e.to_string()).with_header("Retry-After", "1")
         }
@@ -1449,190 +1314,6 @@ fn deadline_response(
     .with_header("Retry-After", "0")
 }
 
-fn handle_query(state: &AppState, req: &Request) -> Response {
-    let body = match parse_body(req) {
-        Ok(b) => b,
-        Err(resp) => return resp,
-    };
-    let (name, entry) = match lookup_graph(state, &body) {
-        Ok(ge) => ge,
-        Err(resp) => return resp,
-    };
-    let graph = match materialize_graph(state, &entry) {
-        Ok(g) => g,
-        Err(resp) => return resp,
-    };
-    let b = match butterfly_field(&body) {
-        Ok(b) => b,
-        Err(resp) => return resp,
-    };
-    let trials = body.get("trials").and_then(Json::as_u64).unwrap_or(20_000);
-    let seed = body.get("seed").and_then(Json::as_u64).unwrap_or(0x5EED);
-    if trials == 0 {
-        return Response::error(400, "trials must be positive");
-    }
-
-    let key = format!("query|{name}|{b}|{trials}|{seed}");
-    let prior = match lookup_cache(state, &key) {
-        CacheLookup::Complete(hit) => return Response::json(200, hit),
-        CacheLookup::Partial(p) => Some(p),
-        CacheLookup::Miss => None,
-    };
-
-    let cancel = Cancel::at(state.timeout.map(|t| Instant::now() + t));
-    let progress = match solve::advance_query(&graph, &b, trials, seed, prior, &cancel) {
-        Some(Ok(p)) => p,
-        Some(Err(msg)) => return Response::error(400, &msg),
-        None => return Response::error(404, "butterfly is not in the graph's backbone"),
-    };
-    state.metrics.trials_executed.add(progress.executed);
-    let q = match progress.outcome {
-        Outcome::Done(q) => q,
-        Outcome::Incomplete(partial) => {
-            return deadline_response(
-                state,
-                &key,
-                partial,
-                progress.trials_done,
-                progress.trials_requested,
-            );
-        }
-    };
-    let body = Json::obj([
-        ("graph", Json::Str(name)),
-        ("butterfly", butterfly_json(&b)),
-        ("existence_prob", Json::Num(q.existence_prob)),
-        ("conditional_max_prob", Json::Num(q.conditional_max_prob)),
-        ("prob", Json::Num(q.prob)),
-        ("trials", Json::Num(q.trials as f64)),
-    ])
-    .to_string();
-    state.cache.put_complete(&key, &body);
-    Response::json(200, body)
-}
-
-fn handle_count(state: &AppState, req: &Request) -> Response {
-    let body = match parse_body(req) {
-        Ok(b) => b,
-        Err(resp) => return resp,
-    };
-    let (name, entry) = match lookup_graph(state, &body) {
-        Ok(ge) => ge,
-        Err(resp) => return resp,
-    };
-    let graph = match materialize_graph(state, &entry) {
-        Ok(g) => g,
-        Err(resp) => return resp,
-    };
-    let trials = body.get("trials").and_then(Json::as_u64).unwrap_or(2_000);
-    let seed = body.get("seed").and_then(Json::as_u64).unwrap_or(0x5EED);
-    let threads = match solver_threads(state, &body) {
-        Ok(t) => t,
-        Err(resp) => return resp,
-    };
-    if trials == 0 {
-        return Response::error(400, "trials must be positive");
-    }
-    match body.get("method").and_then(Json::as_str).unwrap_or("exact") {
-        "exact" => {}
-        "fast" => return handle_fast_count(state, &name, &graph, &body, trials, seed, threads),
-        other => {
-            return Response::error(
-                400,
-                &format!("unknown method `{other}` (expected exact|fast)"),
-            )
-        }
-    }
-
-    // Thread count is excluded: parallel runs are bit-identical.
-    let key = format!("count|{name}|{trials}|{seed}");
-    let prior = match lookup_cache(state, &key) {
-        CacheLookup::Complete(hit) => return Response::json(200, hit),
-        CacheLookup::Partial(p) => Some(p),
-        CacheLookup::Miss => None,
-    };
-
-    let cancel = Cancel::at(state.timeout.map(|t| Instant::now() + t));
-    let progress = match &state.cluster {
-        Some(cluster) => match cluster::coordinator::advance_cluster_count(
-            state, cluster, &name, &graph, trials, seed, threads, prior, &cancel,
-        ) {
-            Ok(p) => p,
-            Err(e) => return cluster_error_response(&e),
-        },
-        None => match solve::advance_count(&graph, trials, seed, threads, prior, &cancel) {
-            Ok(p) => p,
-            Err(msg) => return Response::error(400, &msg),
-        },
-    };
-    state.metrics.trials_executed.add(progress.executed);
-    let dist = match progress.outcome {
-        Outcome::Done(d) => d,
-        Outcome::Incomplete(partial) => {
-            return deadline_response(
-                state,
-                &key,
-                partial,
-                progress.trials_done,
-                progress.trials_requested,
-            );
-        }
-    };
-    let body = Json::obj([
-        ("graph", Json::Str(name)),
-        ("mean", Json::Num(dist.mean)),
-        ("variance", Json::Num(dist.variance)),
-        ("trials", Json::Num(dist.trials as f64)),
-        ("distinct_counts", Json::Num(dist.histogram.len() as f64)),
-    ])
-    .to_string();
-    state.cache.put_complete(&key, &body);
-    Response::json(200, body)
-}
-
-/// `method=fast` on `/v1/count`: the same sublinear estimate as the
-/// fast solve tier (and the same cache namespace — only the response
-/// shape differs), without the escalation policy: `/v1/count`'s exact
-/// tier is the sampling distribution, not the os solver.
-fn handle_fast_count(
-    state: &AppState,
-    name: &str,
-    graph: &bigraph::UncertainBipartiteGraph,
-    body: &Json,
-    trials: u64,
-    seed: u64,
-    threads: usize,
-) -> Response {
-    let delta = body.get("delta").and_then(Json::as_f64).unwrap_or(0.05);
-    if !(delta > 0.0 && delta < 1.0) {
-        return Response::error(400, "delta must be in (0, 1)");
-    }
-    let key = format!("count-fast|{name}|{trials}|{seed}|{delta}");
-    let deadline = state.timeout.map(|t| Instant::now() + t);
-    let (est, trials_done, trials_requested) = match run_fast(
-        state, &key, name, graph, trials, seed, delta, threads, deadline,
-    ) {
-        Ok(done) => done,
-        Err(resp) => return resp,
-    };
-    let body = Json::obj([
-        ("graph", Json::Str(name.to_string())),
-        ("method", Json::Str("fast".to_string())),
-        ("seed", Json::Num(seed as f64)),
-        ("delta", Json::Num(delta)),
-        ("trials_requested", Json::Num(trials_requested as f64)),
-        ("trials_done", Json::Num(trials_done as f64)),
-        ("estimate", Json::Num(est.estimate)),
-        ("variance", Json::Num(est.variance)),
-        ("ci_low", Json::Num(est.ci_low)),
-        ("ci_high", Json::Num(est.ci_high)),
-        ("relative_error", Json::Num(est.relative_error)),
-    ])
-    .to_string();
-    state.cache.put_complete(&key, &body);
-    Response::json(200, body)
-}
-
 // --- small shared helpers -------------------------------------------------
 
 /// Validates the request-body `threads` field against the server's cap.
@@ -1675,23 +1356,6 @@ fn parse_body(req: &Request) -> Result<Json, Response> {
     Json::parse(text).map_err(|e| Response::error(400, &format!("bad JSON: {e}")))
 }
 
-fn lookup_graph(
-    state: &AppState,
-    body: &Json,
-) -> Result<(String, Arc<crate::registry::GraphHandle>), Response> {
-    let name = body
-        .get("graph")
-        .and_then(Json::as_str)
-        .ok_or_else(|| Response::error(400, "missing string field `graph`"))?;
-    match state.registry.get(name) {
-        Some(handle) => Ok((name.to_string(), handle)),
-        None => Err(Response::error(
-            404,
-            &format!("graph `{name}` is not registered"),
-        )),
-    }
-}
-
 fn butterfly_field(body: &Json) -> Result<Butterfly, Response> {
     let arr = body
         .get("butterfly")
@@ -1720,33 +1384,4 @@ fn butterfly_field(body: &Json) -> Result<Butterfly, Response> {
         bigraph::Right(ids[2]),
         bigraph::Right(ids[3]),
     ))
-}
-
-fn butterfly_json(b: &Butterfly) -> Json {
-    Json::Arr(vec![
-        Json::Num(b.u1.0 as f64),
-        Json::Num(b.u2.0 as f64),
-        Json::Num(b.v1.0 as f64),
-        Json::Num(b.v2.0 as f64),
-    ])
-}
-
-fn mpmb_json(dist: &Distribution) -> Json {
-    match dist.mpmb() {
-        None => Json::Null,
-        Some((b, p)) => Json::obj([("butterfly", butterfly_json(&b)), ("prob", Json::Num(p))]),
-    }
-}
-
-fn top_json(dist: &Distribution, k: usize, max_shared: Option<u64>) -> Json {
-    let pairs = match max_shared {
-        Some(m) => mpmb_core::top_k_diverse(dist, k, m.min(4) as usize),
-        None => dist.top_k(k),
-    };
-    Json::Arr(
-        pairs
-            .iter()
-            .map(|(b, p)| Json::obj([("butterfly", butterfly_json(b)), ("prob", Json::Num(*p))]))
-            .collect(),
-    )
 }

@@ -35,8 +35,7 @@
 use datasets::Dataset;
 use mpmb::prelude::*;
 use mpmb_core::{top_k_diverse, Distribution};
-use mpmb_serve::solve::{advance_fast, advance_solve, Outcome};
-use mpmb_serve::Cancel;
+use mpmb_serve::{Answer, Backend, Cancel, Endpoint, Job, Method, Outcome};
 use std::process::exit;
 use std::sync::Arc;
 
@@ -274,6 +273,46 @@ fn print_ranking(
     }
 }
 
+/// Runs `job` to completion in process and returns its answer with the
+/// wall time. With `progress`, the run is sliced every that many trials
+/// and the running leader is printed between slices; the answer is
+/// bit-identical to an unsliced run at any thread count.
+fn run_job(g: &UncertainBipartiteGraph, job: &Job, progress: Option<u64>) -> (Answer, f64) {
+    let started = std::time::Instant::now();
+    let mut state = None;
+    loop {
+        let cancel = progress.map_or_else(Cancel::never, Cancel::after_trials);
+        let p = job
+            .advance(g, &Backend::Local, state.take(), &cancel)
+            .unwrap_or_else(|e| fail(&e.to_string()));
+        match p.outcome {
+            Outcome::Done(answer) => return (answer, started.elapsed().as_secs_f64()),
+            Outcome::Incomplete(s) => {
+                let rate = p.trials_done as f64 / started.elapsed().as_secs_f64().max(1e-9);
+                let leader = match s.leader() {
+                    Some((b, est)) => format!("leader {b} p~{est:.6}"),
+                    None => "no leader yet".to_string(),
+                };
+                eprintln!(
+                    "progress: {}/{} trials ({}), {rate:.0} trials/sec, {leader}",
+                    p.trials_done,
+                    p.trials_requested,
+                    s.kind()
+                );
+                state = Some(s);
+            }
+        }
+    }
+}
+
+fn print_peak_allocation() {
+    let peak = memtrack::peak_bytes();
+    eprintln!(
+        "peak allocation: {peak} bytes ({:.1} MiB)",
+        peak as f64 / (1024.0 * 1024.0)
+    );
+}
+
 fn cmd_solve(flags: &Flags) {
     flags.expect(&[
         "input",
@@ -290,17 +329,26 @@ fn cmd_solve(flags: &Flags) {
         "profile",
         "mem-stats",
     ]);
-    let g = load(flags);
-    let method = flags.get("method").unwrap_or("ols");
-    let trials: u64 = flags.get_parsed("trials", 20_000);
-    let prep: u64 = flags.get_parsed("prep", 100);
-    let seed: u64 = flags.get_parsed("seed", 42);
+    let method = Method::parse(Endpoint::Solve, flags.get("method").unwrap_or("ols"))
+        .unwrap_or_else(|e| fail(&e));
+    let default = Job::new(
+        Endpoint::Solve,
+        method,
+        flags.get_parsed("trials", 20_000),
+        flags.get_parsed("seed", 42),
+    );
+    let job = Job {
+        prep: flags.get_parsed("prep", default.prep),
+        threads: flags.get_parsed("threads", default.threads),
+        delta: flags.get_parsed("delta", default.delta),
+        ..default
+    };
+    job.check().unwrap_or_else(|e| fail(&e));
     let k: usize = flags.get_parsed("top-k", 1);
     let diverse = flags.get("diverse").map(|v| {
         v.parse()
             .unwrap_or_else(|_| fail(&format!("cannot parse --diverse value `{v}`")))
     });
-    let threads: usize = flags.get_parsed("threads", 1);
     let progress: Option<u64> = flags.get("progress").map(|v| {
         v.parse()
             .unwrap_or_else(|_| fail(&format!("cannot parse --progress value `{v}`")))
@@ -329,119 +377,32 @@ fn cmd_solve(flags: &Flags) {
         })
     });
 
-    // The fast tier estimates the expected count instead of a ranking;
-    // it shares the resumable driver (and --progress slicing) but
-    // prints an estimate with its certified confidence interval.
-    if method == "fast" {
-        let delta: f64 = flags.get_parsed("delta", 0.05);
-        if !(delta > 0.0 && delta < 1.0) {
-            fail("--delta must be in (0, 1)");
-        }
-        memtrack::reset_peak();
-        let started = std::time::Instant::now();
-        let mut state = None;
-        let est = loop {
-            let cancel = match progress {
-                Some(every) => Cancel::after_trials(every),
-                None => Cancel::never(),
-            };
-            let p = advance_fast(&g, trials, seed, delta, threads, state.take(), &cancel)
-                .unwrap_or_else(|e| fail(&e));
-            match p.outcome {
-                Outcome::Done(est) => break est,
-                Outcome::Incomplete(s) => {
-                    let rate = p.trials_done as f64 / started.elapsed().as_secs_f64().max(1e-9);
-                    eprintln!(
-                        "progress: {}/{} trials ({}), {rate:.0} trials/sec",
-                        p.trials_done,
-                        p.trials_requested,
-                        s.kind()
-                    );
-                    state = Some(s);
-                }
-            }
-        };
-        let wall = started.elapsed().as_secs_f64();
-        println!("expected butterflies ~ {:.6}", est.estimate);
-        println!(
-            "{:.0}% CI [{:.6}, {:.6}]  relative error {:.4}  ({} trials)",
-            100.0 * (1.0 - est.delta),
-            est.ci_low,
-            est.ci_high,
-            est.relative_error,
-            est.trials
-        );
-        if profile_on {
-            eprintln!("phase profile ({wall:.3}s wall):");
-            eprint!("{}", obs::render_table(&profile.snapshot(), wall));
-        }
-        if mem_stats {
-            let peak = memtrack::peak_bytes();
-            eprintln!(
-                "peak allocation: {peak} bytes ({:.1} MiB)",
-                peak as f64 / (1024.0 * 1024.0)
+    let g = load(flags);
+    memtrack::reset_peak();
+    let (answer, wall) = run_job(&g, &job, progress);
+    match answer {
+        Answer::Ranking(dist) => print_ranking(&g, &dist, k, diverse),
+        // The fast tier estimates the expected count instead of a
+        // ranking, with its certified confidence interval.
+        Answer::Fast(est) => {
+            println!("expected butterflies ~ {:.6}", est.estimate);
+            println!(
+                "{:.0}% CI [{:.6}, {:.6}]  relative error {:.4}  ({} trials)",
+                100.0 * (1.0 - est.delta),
+                est.ci_low,
+                est.ci_high,
+                est.relative_error,
+                est.trials
             );
         }
-        return;
+        Answer::Count(_) | Answer::Query(_) => unreachable!("solve methods rank or estimate"),
     }
-
-    // Every method runs through the server's resumable driver: with
-    // --progress the run is sliced every EVERY trials and the running
-    // leader printed between slices; results are bit-identical to an
-    // unsliced run at any thread count.
-    memtrack::reset_peak();
-    let started = std::time::Instant::now();
-    let mut state = None;
-    let dist = loop {
-        let cancel = match progress {
-            Some(every) => Cancel::after_trials(every),
-            None => Cancel::never(),
-        };
-        let p = advance_solve(
-            &g,
-            method,
-            trials,
-            prep,
-            seed,
-            threads,
-            state.take(),
-            &cancel,
-        )
-        .unwrap_or_else(|e| fail(&e));
-        match p.outcome {
-            Outcome::Done(d) => break d,
-            Outcome::Incomplete(s) => {
-                let rate = p.trials_done as f64 / started.elapsed().as_secs_f64().max(1e-9);
-                match s.leader() {
-                    Some((b, est)) => eprintln!(
-                        "progress: {}/{} trials ({}), {rate:.0} trials/sec, leader {b} p~{est:.6}",
-                        p.trials_done,
-                        p.trials_requested,
-                        s.kind()
-                    ),
-                    None => eprintln!(
-                        "progress: {}/{} trials ({}), {rate:.0} trials/sec, no leader yet",
-                        p.trials_done,
-                        p.trials_requested,
-                        s.kind()
-                    ),
-                }
-                state = Some(s);
-            }
-        }
-    };
-    let wall = started.elapsed().as_secs_f64();
-    print_ranking(&g, &dist, k, diverse);
     if profile_on {
         eprintln!("phase profile ({wall:.3}s wall):");
         eprint!("{}", obs::render_table(&profile.snapshot(), wall));
     }
     if mem_stats {
-        let peak = memtrack::peak_bytes();
-        eprintln!(
-            "peak allocation: {peak} bytes ({:.1} MiB)",
-            peak as f64 / (1024.0 * 1024.0)
-        );
+        print_peak_allocation();
     }
 }
 
@@ -503,69 +464,53 @@ fn cmd_count(flags: &Flags) {
         "threads",
         "mem-stats",
     ]);
-    let g = load(flags);
-    let trials: u64 = flags.get_parsed("trials", 5_000);
-    let seed: u64 = flags.get_parsed("seed", 42);
-    let threads: usize = flags.get_parsed("threads", 1);
+    let method = Method::parse(Endpoint::Count, flags.get("method").unwrap_or("exact"))
+        .unwrap_or_else(|e| fail(&e));
+    let default = Job::new(
+        Endpoint::Count,
+        method,
+        flags.get_parsed("trials", 5_000),
+        flags.get_parsed("seed", 42),
+    );
+    let job = Job {
+        threads: flags.get_parsed("threads", default.threads),
+        delta: flags.get_parsed("delta", default.delta),
+        ..default
+    };
+    job.check().unwrap_or_else(|e| fail(&e));
     let mem_stats: bool = flags.get_parsed("mem-stats", false);
+    let g = load(flags);
     let expect = bigraph::expected::expected_butterfly_count(&g);
-    match flags.get("method").unwrap_or("exact") {
-        "exact" => {}
-        "fast" => {
-            let delta: f64 = flags.get_parsed("delta", 0.05);
-            if !(delta > 0.0 && delta < 1.0) {
-                fail("--delta must be in (0, 1)");
-            }
-            memtrack::reset_peak();
-            let est = mpmb_core::estimate_fast(
-                &g,
-                &mpmb_core::SublinearConfig {
-                    trials,
-                    seed,
-                    delta,
-                },
-                threads,
-            );
-            if mem_stats {
-                let peak = memtrack::peak_bytes();
-                eprintln!(
-                    "peak allocation: {peak} bytes ({:.1} MiB)",
-                    peak as f64 / (1024.0 * 1024.0)
-                );
-            }
-            println!("expected butterflies (closed form) = {expect:.4}");
-            println!(
-                "fast estimate = {:.4}  ({:.0}% CI [{:.4}, {:.4}], relative error {:.4}, {} trials)",
-                est.estimate,
-                100.0 * (1.0 - est.delta),
-                est.ci_low,
-                est.ci_high,
-                est.relative_error,
-                est.trials
-            );
-            return;
-        }
-        other => fail(&format!("unknown --method `{other}` (expected exact|fast)")),
-    }
     memtrack::reset_peak();
-    let d = mpmb_core::sample_count_distribution_parallel(&g, trials, seed, threads);
+    let (answer, _) = run_job(&g, &job, None);
     if mem_stats {
-        let peak = memtrack::peak_bytes();
-        eprintln!(
-            "peak allocation: {peak} bytes ({:.1} MiB)",
-            peak as f64 / (1024.0 * 1024.0)
-        );
+        print_peak_allocation();
     }
     println!("expected butterflies (closed form) = {expect:.4}");
-    println!(
-        "sampled mean = {:.4}  variance = {:.4}  ({} trials)",
-        d.mean, d.variance, d.trials
-    );
-    let mut counts: Vec<(u64, u64)> = d.histogram.iter().map(|(&c, &n)| (c, n)).collect();
-    counts.sort_unstable();
-    println!("count\tfreq");
-    for (c, n) in counts.into_iter().take(20) {
-        println!("{c}\t{:.4}", n as f64 / d.trials as f64);
+    match answer {
+        // The fast tier skips the per-world exact counts.
+        Answer::Fast(est) => println!(
+            "fast estimate = {:.4}  ({:.0}% CI [{:.4}, {:.4}], relative error {:.4}, {} trials)",
+            est.estimate,
+            100.0 * (1.0 - est.delta),
+            est.ci_low,
+            est.ci_high,
+            est.relative_error,
+            est.trials
+        ),
+        Answer::Count(d) => {
+            println!(
+                "sampled mean = {:.4}  variance = {:.4}  ({} trials)",
+                d.mean, d.variance, d.trials
+            );
+            let mut counts: Vec<(u64, u64)> = d.histogram.iter().map(|(&c, &n)| (c, n)).collect();
+            counts.sort_unstable();
+            println!("count\tfreq");
+            for (c, n) in counts.into_iter().take(20) {
+                println!("{c}\t{:.4}", n as f64 / d.trials as f64);
+            }
+        }
+        Answer::Ranking(_) | Answer::Query(_) => unreachable!("count methods estimate counts"),
     }
 }
 

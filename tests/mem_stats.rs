@@ -8,8 +8,7 @@
 //! would report.
 
 use mpmb_serve::client::call;
-use mpmb_serve::solve::advance_solve;
-use mpmb_serve::{Cancel, Server, ServerConfig};
+use mpmb_serve::{Backend, Cancel, Endpoint, Job, Method, Server, ServerConfig};
 
 #[global_allocator]
 static ALLOC: memtrack::CountingAllocator = memtrack::CountingAllocator;
@@ -28,8 +27,9 @@ fn solve_registers_nonzero_peak_allocation() {
     let g = datasets::Dataset::Abide.generate(0.01, 3);
     memtrack::reset_peak();
     let before = memtrack::peak_bytes();
-    let progress =
-        advance_solve(&g, "os", 500, 0, 42, 1, None, &Cancel::never()).expect("solve succeeds");
+    let progress = Job::new(Endpoint::Solve, Method::Os, 500, 42)
+        .advance(&g, &Backend::Local, None, &Cancel::never())
+        .expect("solve succeeds");
     assert_eq!(progress.trials_done, 500);
     let after = memtrack::peak_bytes();
     assert!(

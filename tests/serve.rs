@@ -1475,3 +1475,71 @@ fn coordinator_with_no_live_workers_returns_503_and_recovers() {
     assert_eq!(rs, 502);
     shutdown(coord);
 }
+
+/// An unknown method is a 400 before any other work: the request's
+/// (container-backed) graph is not materialized and the result cache
+/// is not consulted. A valid request afterwards moves both counters,
+/// so the check is not vacuous.
+#[test]
+fn bogus_method_is_rejected_before_graph_or_cache_work() {
+    let _guard = lock();
+    let dir = std::env::temp_dir().join(format!("mpmb-bogus-method-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("g.ubgc");
+    bigraph::write_container_path(&reference_graph(), &path).expect("write container");
+    let (server, addr) = start(default_cfg());
+    let (status, body) = call(
+        addr.as_str(),
+        "POST",
+        "/v1/graphs",
+        &format!("{{\"name\":\"g\",\"spec\":\"{}\"}}", path.display()),
+    )
+    .unwrap();
+    assert_eq!(status, 200, "{body}");
+    let counters = || {
+        let (_, metrics) = call(addr.as_str(), "GET", "/metrics", "").unwrap();
+        (
+            metric_value(&metrics, "mpmb_cache_misses_total"),
+            metric_value(&metrics, "mpmb_graph_materializations_total"),
+        )
+    };
+    assert_eq!(counters(), (0, 0));
+
+    for (path, body) in [
+        (
+            "/v1/solve",
+            "{\"graph\":\"g\",\"method\":\"bogus\",\"trials\":100}",
+        ),
+        (
+            "/v1/topk",
+            "{\"graph\":\"g\",\"method\":\"fast\",\"trials\":100}",
+        ),
+        (
+            "/v1/count",
+            "{\"graph\":\"g\",\"method\":\"bogus\",\"trials\":100}",
+        ),
+    ] {
+        let (status, resp) = call(addr.as_str(), "POST", path, body).unwrap();
+        assert_eq!(status, 400, "{path} {body}: {resp}");
+        assert!(resp.contains("expected"), "{resp}");
+    }
+    assert_eq!(
+        counters(),
+        (0, 0),
+        "a rejected method touched the graph or cache"
+    );
+
+    let (status, resp) = call(
+        addr.as_str(),
+        "POST",
+        "/v1/solve",
+        "{\"graph\":\"g\",\"method\":\"os\",\"trials\":100}",
+    )
+    .unwrap();
+    assert_eq!(status, 200, "{resp}");
+    assert_eq!(counters(), (1, 1));
+
+    server.begin_shutdown();
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
